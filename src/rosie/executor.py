@@ -5,6 +5,12 @@ a padded-schema union for Or, a left outer join for Opt, row filters for
 constraints. Rows are tuples over an ordered variable schema with None for
 unbound cells; join matching follows solution-mapping compatibility, so an
 unbound shared variable matches anything and adopts the other side's value.
+
+Each operator works out its column positions once per evaluation (key and
+merge `itemgetter`s, pad layouts, compiled filter tests) and then runs a
+tight loop over its rows. Joins whose keys are bound on both sides take a
+hash path with no per-row branching; only rows with an unbound key cell
+go through the pairwise compatibility check.
 """
 
 from __future__ import annotations
@@ -13,12 +19,14 @@ import logging
 import re
 import time
 from dataclasses import dataclass
-from typing import Optional, Union
+from itertools import compress
+from operator import eq, ge, gt, itemgetter, le, lt, ne
+from typing import Callable, Optional, Union
 
 from .errors import QueryTimeout, UnresolvedLeaf
 from .frontend import AND, OPT, OR, Constraint, FilterExpr, Modifiers, TriplePattern
 from .planner import CS, CSFilter, CSNode, PatternLeaf, RelationLeaf
-from .store import Dataset, Relation, lexical_form, scan
+from .store import Dataset, Relation, lexical_form, pattern_schema, scan
 
 log = logging.getLogger(__name__)
 
@@ -100,14 +108,6 @@ PhysicalPlan = Union[
 ]
 
 
-def _pattern_schema(tp: TriplePattern) -> tuple[str, ...]:
-    out: list[str] = []
-    for _pos, name in tp.variables():
-        if name not in out:
-            out.append(name)
-    return tuple(out)
-
-
 def _merged_schema(left: tuple[str, ...], right: tuple[str, ...]) -> tuple[str, ...]:
     return left + tuple(v for v in right if v not in left)
 
@@ -137,7 +137,7 @@ def compile_cs(
 
 def _compile_node(cs: CS, d: Dataset) -> PhysicalPlan:
     if isinstance(cs, PatternLeaf):
-        return Scan(cs.tp, _pattern_schema(cs.tp))
+        return Scan(cs.tp, pattern_schema(cs.tp))
     if isinstance(cs, RelationLeaf):
         rel = d.intermediates.get(cs.rel_id)
         if rel is None:
@@ -200,66 +200,37 @@ def _eval(plan: PhysicalPlan, d: Dataset, budget: _Budget) -> list[tuple]:
         if rel is None:
             raise UnresolvedLeaf(f"intermediate R{plan.rel_id} is not registered")
         return rel.rows
-    if isinstance(plan, HashJoin):
+    if isinstance(plan, (HashJoin, LeftOuterJoin)):
         left_rows = _eval(plan.left, d, budget)
         right_rows = _eval(plan.right, d, budget)
         return _join(
             left_rows, plan.left.schema, right_rows, plan.right.schema,
-            plan.shared, plan.schema, outer=False, budget=budget,
-        )
-    if isinstance(plan, LeftOuterJoin):
-        left_rows = _eval(plan.left, d, budget)
-        right_rows = _eval(plan.right, d, budget)
-        return _join(
-            left_rows, plan.left.schema, right_rows, plan.right.schema,
-            plan.shared, plan.schema, outer=True, budget=budget,
+            plan.shared, plan.schema, isinstance(plan, LeftOuterJoin), budget,
         )
     if isinstance(plan, UnionOp):
         left_rows = _eval(plan.left, d, budget)
         right_rows = _eval(plan.right, d, budget)
-        out: list[tuple] = []
-        for row in left_rows:
-            out.append(_pad(row, plan.left.schema, plan.schema))
-        for row in right_rows:
-            out.append(_pad(row, plan.right.schema, plan.schema))
+        out = _relayout(left_rows, plan.left.schema, plan.schema)
+        out += _relayout(right_rows, plan.right.schema, plan.schema)
         return out
     if isinstance(plan, FilterOp):
-        child_rows = _eval(plan.child, d, budget)
-        schema = plan.child.schema
-        out = []
-        for row in child_rows:
-            budget.check()
-            binding = {
-                v: (None if row[i] is None else d.dict.decode(row[i]))
-                for i, v in enumerate(schema)
-            }
-            if all(eval_filter(e, binding) for e in plan.constraint.exprs):
-                out.append(row)
-        return out
+        rows = _eval(plan.child, d, budget)
+        budget.check(len(rows))
+        return _filter_rows(rows, plan.child.schema, plan.constraint, d)
     if isinstance(plan, Project):
-        child_rows = _eval(plan.child, d, budget)
-        child_schema = plan.child.schema
-        idx = [child_schema.index(v) if v in child_schema else None for v in plan.schema]
-        return [
-            tuple(row[i] if i is not None else None for i in idx)
-            for row in child_rows
-        ]
+        return _relayout(_eval(plan.child, d, budget), plan.child.schema, plan.schema)
     if isinstance(plan, Distinct):
-        child_rows = _eval(plan.child, d, budget)
-        seen: set[tuple] = set()
-        out = []
-        for row in child_rows:
-            if row not in seen:
-                seen.add(row)
-                out.append(row)
-        return out
+        return list(dict.fromkeys(_eval(plan.child, d, budget)))
     if isinstance(plan, Sort):
         child_rows = _eval(plan.child, d, budget)
         schema = plan.child.schema
         rows = list(child_rows)
+        keys: dict = {}  # term id -> sort key, shared by every key pass
         for var, ascending in reversed(plan.keys):
             col = schema.index(var)
-            rows.sort(key=lambda r: _sort_key(r[col], d), reverse=not ascending)
+            for tid in {row[col] for row in rows}.difference(keys):
+                keys[tid] = _sort_key(tid, d)
+            rows.sort(key=lambda r: keys[r[col]], reverse=not ascending)
         return rows
     if isinstance(plan, Slice):
         child_rows = _eval(plan.child, d, budget)
@@ -269,9 +240,27 @@ def _eval(plan: PhysicalPlan, d: Dataset, budget: _Budget) -> list[tuple]:
     raise TypeError(f"unknown plan node {plan!r}")
 
 
-def _pad(row: tuple, schema: tuple[str, ...], out_schema: tuple[str, ...]) -> tuple:
-    pos = {v: i for i, v in enumerate(schema)}
-    return tuple(row[pos[v]] if v in pos else None for v in out_schema)
+def _tuple_getter(idx: list[int]):
+    """A callable picking `idx` from a sequence, always as a tuple."""
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    if idx:
+        (i,) = idx
+        return lambda row: (row[i],)
+    return lambda row: ()
+
+
+def _relayout(
+    rows: list[tuple], schema: tuple[str, ...], out_schema: tuple[str, ...]
+) -> list[tuple]:
+    """A new list of the rows laid out over `out_schema`; a variable that
+    `schema` lacks is unbound."""
+    # a missing variable points one past the row, at a None appended to it
+    idx = [schema.index(v) if v in schema else len(schema) for v in out_schema]
+    pick = _tuple_getter(idx)
+    if len(schema) in idx:
+        return [pick(row + (None,)) for row in rows]
+    return list(map(pick, rows))
 
 
 def _sort_key(cell, d: Dataset):
@@ -296,54 +285,100 @@ def _join(
     budget: _Budget,
 ) -> list[tuple]:
     """Compatibility join. Rows whose shared variables are all bound go
-    through a hash table; rows with unbound shared cells are compared
-    pairwise (they are compatible with anything at those positions)."""
+    through a hash table; rows with unbound shared cells ("wild" rows) are
+    compared pairwise (they are compatible with anything at those
+    positions). Output follows the probe (left) rows, each one's matches in
+    right-row order, bucket matches before wild ones."""
     if not outer and shared and len(left_rows) <= len(right_rows):
         # smaller (or tied) side builds the hash table
         left_rows, right_rows = right_rows, left_rows
         left_schema, right_schema = right_schema, left_schema
 
-    left_idx = [left_schema.index(v) for v in shared]
-    right_idx = [right_schema.index(v) for v in shared]
+    # compiled once: the merged row of `lrow + rrow`, shared cells taken
+    # from the left, which is exact whenever the left key is bound; an
+    # all-unbound right row turns it into the outer join's padded row
+    n_left = len(left_schema)
+    merged = _tuple_getter([
+        left_schema.index(v) if v in left_schema else n_left + right_schema.index(v)
+        for v in out_schema
+    ])
+    unmatched = ((None,) * len(right_schema),) if outer else ()
+    out: list[tuple] = []
 
     if not shared:
-        out = []
+        matches = right_rows or unmatched
         for lrow in left_rows:
             budget.check(max(1, len(right_rows)))
-            for rrow in right_rows:
-                out.append(_merge(lrow, left_schema, rrow, right_schema, out_schema))
-            if outer and not right_rows:
-                out.append(_pad(lrow, left_schema, out_schema))
+            out += [merged(lrow + rrow) for rrow in matches]
         return out
 
-    buckets: dict[tuple, list[tuple]] = {}
-    wild: list[tuple] = []
-    for rrow in right_rows:
-        key = tuple(rrow[i] for i in right_idx)
-        if any(k is None for k in key):
-            wild.append(rrow)
-        else:
-            buckets.setdefault(key, []).append(rrow)
+    left_idx = [left_schema.index(v) for v in shared]
+    right_idx = [right_schema.index(v) for v in shared]
+    # one shared variable: the key is the cell itself, else a tuple
+    left_keys = list(map(itemgetter(*left_idx), left_rows))
+    right_keys = list(map(itemgetter(*right_idx), right_rows))
+    if len(shared) == 1:
+        left_wild, right_wild = None in left_keys, None in right_keys
+    else:
+        left_wild = any(map(_has_unbound, left_keys))
+        right_wild = any(map(_has_unbound, right_keys))
 
-    out = []
-    for lrow in left_rows:
-        budget.check()
-        key = tuple(lrow[i] for i in left_idx)
-        if any(k is None for k in key):
-            candidates = right_rows
+    buckets: dict = {}
+    wild: list[tuple] = []
+    for key, rrow in zip(right_keys, right_rows):
+        if right_wild and _has_unbound(key):
+            wild.append(rrow)
+        elif key in buckets:
+            buckets[key].append(rrow)
         else:
-            candidates = buckets.get(key, [])
-            if wild:
-                candidates = candidates + wild
-        matched = False
-        for rrow in candidates:
-            budget.check()
-            if _compatible(lrow, left_idx, rrow, right_idx):
-                matched = True
-                out.append(_merge(lrow, left_schema, rrow, right_schema, out_schema))
-        if outer and not matched:
-            out.append(_pad(lrow, left_schema, out_schema))
+            buckets[key] = [rrow]
+    get = buckets.get
+
+    if not (left_wild or right_wild):
+        # every key bound on both sides: a tight loop over probe chunks,
+        # each producing about _TIMEOUT_CHECK_EVERY rows at most; an inner
+        # join first drops the probe rows without a partner
+        if not outer:
+            found = list(map(buckets.__contains__, left_keys))
+            left_rows = list(compress(left_rows, found))
+            left_keys = list(compress(left_keys, found))
+        widest = max(map(len, buckets.values()), default=1)
+        chunk = max(1, _TIMEOUT_CHECK_EVERY // widest)
+        for start in range(0, len(left_rows), chunk):
+            budget.check(_TIMEOUT_CHECK_EVERY)
+            end = start + chunk
+            out += [
+                merged(lrow + rrow)
+                for lrow, key in zip(left_rows[start:end], left_keys[start:end])
+                for rrow in get(key, unmatched)
+            ]
+        return out
+
+    merge_plan = _merge_plan(left_schema, right_schema, out_schema)
+    for lrow, key in zip(left_rows, left_keys):
+        if _has_unbound(key):
+            budget.check(1 + len(right_rows))
+            matches = [
+                _merge(lrow, rrow, merge_plan)
+                for rrow in right_rows
+                if _compatible(lrow, left_idx, rrow, right_idx)
+            ]
+        else:
+            bucket = get(key, ())
+            budget.check(1 + len(bucket) + len(wild))
+            matches = [merged(lrow + rrow) for rrow in bucket]
+            matches += [
+                merged(lrow + rrow)
+                for rrow in wild
+                if _compatible(lrow, left_idx, rrow, right_idx)
+            ]
+        out += matches or [merged(lrow + pad) for pad in unmatched]
     return out
+
+
+def _has_unbound(key) -> bool:
+    """A join key with an unbound cell: None itself or a tuple holding one."""
+    return key is None or (type(key) is tuple and None in key)
 
 
 def _compatible(lrow: tuple, left_idx: list[int], rrow: tuple, right_idx: list[int]) -> bool:
@@ -354,22 +389,28 @@ def _compatible(lrow: tuple, left_idx: list[int], rrow: tuple, right_idx: list[i
     return True
 
 
-def _merge(
-    lrow: tuple,
+def _merge_plan(
     left_schema: tuple[str, ...],
-    rrow: tuple,
     right_schema: tuple[str, ...],
     out_schema: tuple[str, ...],
-) -> tuple:
-    lpos = {v: i for i, v in enumerate(left_schema)}
-    rpos = {v: i for i, v in enumerate(right_schema)}
+) -> list[tuple[Optional[int], Optional[int]]]:
+    """For each output variable, its left and right column (None if absent)."""
+    return [
+        (
+            left_schema.index(v) if v in left_schema else None,
+            right_schema.index(v) if v in right_schema else None,
+        )
+        for v in out_schema
+    ]
+
+
+def _merge(lrow: tuple, rrow: tuple, plan) -> tuple:
+    """Merge two compatible rows: the left value unless it is unbound."""
     out = []
-    for v in out_schema:
-        value = None
-        if v in lpos and lrow[lpos[v]] is not None:
-            value = lrow[lpos[v]]
-        elif v in rpos:
-            value = rrow[rpos[v]]
+    for li, ri in plan:
+        value = None if li is None else lrow[li]
+        if value is None and ri is not None:
+            value = rrow[ri]
         out.append(value)
     return tuple(out)
 
@@ -378,47 +419,76 @@ def _merge(
 # Filter evaluation
 # ---------------------------------------------------------------------------
 
+_COMPARE = {"=": eq, "!=": ne, "<": lt, "<=": le, ">": gt, ">=": ge}
+
+
+def _filter_rows(
+    rows: list[tuple], schema: tuple[str, ...], constraint: Constraint, d: Dataset
+) -> list[tuple]:
+    """Rows satisfying every expression of a constraint, in input order.
+
+    Each expression is compiled once and decided once per distinct term id
+    in its variable's column; no other column is decoded.
+    """
+    for expr in constraint.exprs:
+        if not rows:
+            break
+        if expr.var not in schema:
+            return []  # unbound in every row
+        col = schema.index(expr.var)
+        holds = _compile_filter(expr)
+        verdict = {
+            tid: tid is not None and holds(lexical_form(d.dict.decode(tid)))
+            for tid in {row[col] for row in rows}
+        }
+        rows = [row for row in rows if verdict[row[col]]]
+    return rows
+
+
+def _compile_filter(expr: FilterExpr) -> Callable[[str], bool]:
+    """Compile one atomic filter to a test on a term's lexical form.
+
+    Numeric comparison applies when both sides parse as numbers, else
+    codepoint comparison of the lexical forms. An invalid regex or unknown
+    operator logs one warning here and yields a test that drops every row.
+    """
+    if expr.op == "regex":
+        flags = re.IGNORECASE if "i" in expr.flags else 0
+        try:
+            search = re.compile(expr.operand, flags).search
+        except re.error as exc:
+            log.warning("regex filter failed (%s); dropping rows", exc)
+            return lambda lexical: False
+        return lambda lexical: search(lexical) is not None
+
+    compare = _COMPARE.get(expr.op)
+    if compare is None:
+        log.warning("unknown filter operator %r; dropping rows", expr.op)
+        return lambda lexical: False
+    operand = expr.operand
+    try:
+        operand_num: Optional[float] = float(operand)
+    except ValueError:
+        operand_num = None
+
+    def holds(lexical: str) -> bool:
+        if operand_num is not None:
+            try:
+                return compare(float(lexical), operand_num)
+            except ValueError:
+                pass
+        return compare(lexical, operand)
+
+    return holds
+
+
 def eval_filter(expr: FilterExpr, binding: dict[str, Optional[str]]) -> bool:
     """Evaluate one atomic filter against decoded term strings.
 
     Unbound variables and evaluation errors make the row fail (three-valued
-    logic collapsed to false); numeric comparison applies when both sides
-    parse as numbers, else codepoint comparison of the lexical forms.
+    logic collapsed to false).
     """
     term = binding.get(expr.var)
     if term is None:
         return False
-    lexical = lexical_form(term)
-    if expr.op == "regex":
-        flags = re.IGNORECASE if "i" in expr.flags else 0
-        try:
-            return re.search(expr.operand, lexical, flags) is not None
-        except re.error as exc:
-            log.warning("regex filter failed (%s); dropping row", exc)
-            return False
-
-    left_num: Optional[float]
-    try:
-        left_num = float(lexical)
-        right_num = float(expr.operand)
-    except ValueError:
-        left_num = right_num = None
-
-    if left_num is not None and right_num is not None:
-        a, b = left_num, right_num
-    else:
-        a, b = lexical, expr.operand  # type: ignore[assignment]
-    if expr.op == "=":
-        return a == b
-    if expr.op == "!=":
-        return a != b
-    if expr.op == "<":
-        return a < b
-    if expr.op == "<=":
-        return a <= b
-    if expr.op == ">":
-        return a > b
-    if expr.op == ">=":
-        return a >= b
-    log.warning("unknown filter operator %r; dropping row", expr.op)
-    return False
+    return _compile_filter(expr)(lexical_form(term))

@@ -47,7 +47,7 @@ from .planner import (
     plan_cs,
 )
 from .qrg import QRG, build_qrg, collapse_materialized, region_of
-from .store import Dataset, Relation, register_intermediate
+from .store import Dataset, Relation, register_intermediate, release_intermediates
 
 POLICY_KINDS = ("static", "eager", "rosie")
 
@@ -331,7 +331,14 @@ def run(
         plan = compile_cs(cs, q.projection, q.modifiers, d)
         result = execute(plan, d, clock.deadline, timeout_ms)
     else:
-        result = _run_incremental(q, d, policy, g, cs, trace, var_order, clock)
+        registered: list[int] = []
+        try:
+            result = _run_incremental(
+                q, d, policy, g, cs, trace, var_order, clock, registered
+            )
+        finally:
+            # the query's intermediates die with it, however it ended
+            release_intermediates(d, registered)
 
     trace.result_cardinality = result.exact_cardinality
     trace.total_ms = clock.elapsed_ms()
@@ -441,7 +448,19 @@ def _run_incremental(
     trace: ExecutionTrace,
     var_order: dict[str, int],
     clock: _Clock,
+    registered: list[int],
 ) -> Relation:
+    """Walk the plan under `eager` or `rosie`; every relation id it
+    registers is appended to `registered` for the caller to release."""
+
+    def materialize(prefix: CS) -> tuple[int, int]:
+        rel = execute(
+            compile_cs(prefix, None, None, d), d, clock.deadline, clock.timeout_ms
+        )
+        rid = register_intermediate(d, rel)
+        registered.append(rid)
+        return rid, rel.exact_cardinality
+
     steps = linearize(cs)
     k = 0
     cs_sub: Optional[CS] = None
@@ -483,58 +502,36 @@ def _run_incremental(
             and should_materialize(state, profile, alts, policy, op)
         )
 
-        if materialize_now and policy.kind == "eager":
-            # eager takes the step first, then evaluates the extended prefix;
-            # filters placed directly after the step belong to that prefix
-            cs_sub = CSNode(op, cs_sub, step.unit)
-            state.advance(profile, op)
-            consumed |= _leaf_pattern_ids(step.unit)
-            k += 1
-            while k < len(steps) and steps[k].op == FILTER:
-                trailing = steps[k].constraint
-                assert trailing is not None
-                cs_sub = CSFilter(cs_sub, trailing.constraint, trailing.label)
-                state.apply_filter_step(constraint_selectivity(trailing.constraint))
-                k += 1
-            rel = execute(
-                compile_cs(cs_sub, None, None, d), d, clock.deadline, clock.timeout_ms
-            )
-            rid = register_intermediate(d, rel)
-            _record(trace, policy, profile.label, state,
-                    decision="materialize", actual=rel.exact_cardinality, t0=step_t0)
-            if rel.exact_cardinality == 0:
-                cs_sub = RelationLeaf(rid)
-                short_circuited = True
-                break
-            g, cs, steps, cs_sub, state = _restart_from(
-                g, d, rid, rel.exact_cardinality, cs_sub, state, var_order, trace
-            )
-            _record(trace, policy, f"R{rid}", state, decision="continue", t0=step_t0)
-            k = 1
-            continue
-
         if materialize_now:
-            rel = execute(
-                compile_cs(cs_sub, None, None, d), d, clock.deadline, clock.timeout_ms
-            )
-            rid = register_intermediate(d, rel)
-            card = rel.exact_cardinality
+            label = None
+            if policy.kind == "eager":
+                # eager takes the step first, then evaluates the extended
+                # prefix; filters placed directly after the step belong to it
+                cs_sub = CSNode(op, cs_sub, step.unit)
+                state.advance(profile, op)
+                consumed |= _leaf_pattern_ids(step.unit)
+                label = profile.label
+                k += 1
+                while k < len(steps) and steps[k].op == FILTER:
+                    trailing = steps[k].constraint
+                    assert trailing is not None
+                    cs_sub = CSFilter(cs_sub, trailing.constraint, trailing.label)
+                    state.apply_filter_step(constraint_selectivity(trailing.constraint))
+                    k += 1
+            rid, card = materialize(cs_sub)
+            # recorded from the estimate that led here, before the restart
+            _record(trace, policy, label or f"R{rid}", state,
+                    decision="materialize", actual=card, t0=step_t0)
             if card == 0:
                 # annihilation: an empty prefix cannot produce result rows
-                mat_state = StepState.start(
-                    UnitProfile(f"R{rid}", CardinalityInterval(0.0, 0.0), 0.0, {}),
-                    var_order,
-                )
-                _record(trace, policy, f"R{rid}", mat_state,
-                        decision="materialize", actual=0, t0=step_t0)
                 cs_sub = RelationLeaf(rid)
                 short_circuited = True
                 break
             g, cs, steps, cs_sub, state = _restart_from(
                 g, d, rid, card, cs_sub, state, var_order, trace
             )
-            _record(trace, policy, f"R{rid}", state,
-                    decision="materialize", actual=card, t0=step_t0)
+            if policy.kind == "eager":
+                _record(trace, policy, f"R{rid}", state, decision="continue", t0=step_t0)
             k = 1
             continue
 

@@ -7,7 +7,8 @@ per-value counts: for each term the number of triples where it appears as
 subject, predicate, or object.
 
 A dataset is immutable after load; the only mutation is registering
-intermediate relations produced while executing a single query.
+intermediate relations produced while executing a single query, which the
+query releases again when it ends.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import threading
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import BinaryIO, Iterable, NamedTuple, Optional
 
 from .errors import ParseError, SnapshotFormatError
@@ -179,7 +181,7 @@ class Dataset:
 
     # -- scans ---------------------------------------------------------------
 
-    def _range(self, index: list[tuple], prefix: tuple) -> Iterable[tuple]:
+    def _range(self, index: list[tuple], prefix: tuple) -> list[tuple]:
         lo = bisect_left(index, prefix)
         hi = bisect_left(index, prefix[:-1] + (prefix[-1] + 1,))
         return index[lo:hi]
@@ -305,66 +307,75 @@ def _parse_term(line: str, pos: int, line_no: int, which: str) -> tuple[str, int
     raise ParseError(line_no, f"unexpected character {c!r} in {which}")
 
 
+# For each index: where the S, P and O of a triple sit in its entries.
+_SPO_AT = (0, 1, 2)
+_POS_AT = (2, 0, 1)
+_OSP_AT = (1, 2, 0)
+
+
 def scan(d: Dataset, tp) -> Relation:
     """All solutions of one triple pattern, schema in S,P,O order.
 
     `tp` is a frontend.TriplePattern; bound terms absent from the dictionary
     yield the empty relation. Repeated variables constrain positions to be
-    equal.
+    equal. Rows keep the order of the index range the pattern scans.
     """
-    positions = [("S", tp.s), ("P", tp.p), ("O", tp.o)]
+    schema = pattern_schema(tp)
+    atoms = (tp.s, tp.p, tp.o)
     bound: list[Optional[TermId]] = []
-    var_names: list[Optional[str]] = []
-    for _, atom in positions:
+    for atom in atoms:
         if atom.is_var():
             bound.append(None)
-            var_names.append(atom.name)
         else:
             tid = d.dict.lookup(atom.value)
             if tid is None:
-                schema = _pattern_schema(tp)
                 return Relation(schema, [])
             bound.append(tid)
-            var_names.append(None)
 
     s, p, o = bound
+    at = _SPO_AT
     if s is not None and p is not None and o is not None:
-        matches: Iterable[tuple] = [(s, p, o)] if d.has_triple(s, p, o) else []
+        matches: list[tuple] = [(s, p, o)] if d.has_triple(s, p, o) else []
     elif s is not None and p is not None:
         matches = d._range(d.spo, (s, p))
     elif s is not None and o is not None:
-        matches = ((a, c, b) for b, a, c in d._range(d.osp, (o, s)))
+        matches, at = d._range(d.osp, (o, s)), _OSP_AT
     elif p is not None and o is not None:
-        matches = ((c, a, b) for a, b, c in d._range(d.pos, (p, o)))
+        matches, at = d._range(d.pos, (p, o)), _POS_AT
     elif s is not None:
         matches = d._range(d.spo, (s,))
     elif p is not None:
-        matches = ((c, a, b) for a, b, c in d._range(d.pos, (p,)))
+        matches, at = d._range(d.pos, (p,)), _POS_AT
     elif o is not None:
-        matches = ((b, c, a) for a, b, c in d._range(d.osp, (o,)))
+        matches, at = d._range(d.osp, (o,)), _OSP_AT
     else:
         matches = d.spo
 
-    schema = _pattern_schema(tp)
-    rows: list[tuple] = []
-    for triple in matches:
-        binding: dict[str, TermId] = {}
-        ok = True
-        for (name, value) in zip(var_names, triple):
-            if name is None:
-                continue
-            if name in binding:
-                if binding[name] != value:
-                    ok = False
-                    break
+    # the entry column of each variable's first occurrence, and the column
+    # pairs a repeated variable forces equal
+    first: dict[str, int] = {}
+    equal: list[tuple[int, int]] = []
+    for atom, col in zip(atoms, at):
+        if atom.is_var():
+            if atom.name in first:
+                equal.append((first[atom.name], col))
             else:
-                binding[name] = value
-        if ok:
-            rows.append(tuple(binding[v] for v in schema))
+                first[atom.name] = col
+    if equal:
+        matches = [t for t in matches if all(t[a] == t[b] for a, b in equal)]
+    cols = tuple(first.values())
+    if len(cols) > 1:
+        rows = list(map(itemgetter(*cols), matches))
+    elif cols:
+        (col,) = cols
+        rows = [(t[col],) for t in matches]
+    else:
+        rows = [()] * len(matches)
     return Relation(schema, rows)
 
 
-def _pattern_schema(tp) -> tuple[str, ...]:
+def pattern_schema(tp) -> tuple[str, ...]:
+    """Distinct variables of a triple pattern in S, P, O order."""
     schema: list[str] = []
     for atom in (tp.s, tp.p, tp.o):
         if atom.is_var() and atom.name not in schema:
@@ -381,13 +392,21 @@ def register_intermediate(d: Dataset, r: Relation) -> RelationId:
     """Make a relation retrievable by id for the rest of the query.
 
     The only mutation a dataset sees after load; guarded so concurrent
-    queries on one dataset cannot collide on ids.
+    queries on one dataset cannot collide on ids. The query frees it with
+    `release_intermediates` when it ends.
     """
     with d._registration_lock:
         rid = d._next_relation_id
         d._next_relation_id += 1
         d.intermediates[rid] = r
     return rid
+
+
+def release_intermediates(d: Dataset, rids: Iterable[RelationId]) -> None:
+    """Drop relations a finished query registered; ids are never reused."""
+    with d._registration_lock:
+        for rid in rids:
+            d.intermediates.pop(rid, None)
 
 
 def snapshot_save(d: Dataset, sink: BinaryIO) -> None:

@@ -137,6 +137,23 @@ class TestEvalFilter:
     def test_bad_regex_drops_row(self):
         assert not eval_filter(FilterExpr("s", "regex", "("), {"s": '"x"'})
 
+    @pytest.mark.parametrize("kind", ["static", "eager", "rosie"])
+    def test_bad_regex_warns_once_per_query(self, kind, caplog):
+        # 60 content rows reach the filter; the pattern is compiled once
+        from rosie.datagen import correlated_star
+        from rosie.runtime import Policy, run
+
+        d = correlated_star()
+        q = parse_query('SELECT * WHERE { ?p <content> ?o . FILTER regex(?o, "(") }')
+        assert len(run(parse_query("SELECT * WHERE { ?p <content> ?o . }"), d,
+                       Policy(kind))[0].rows) == 60
+        with caplog.at_level("WARNING", logger="rosie.executor"):
+            rel, _ = run(q, d, Policy(kind))
+        assert rel.rows == []
+        warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1
+        assert "regex filter failed" in warnings[0].getMessage()
+
     def test_iri_terms_compare_lexically(self):
         assert eval_filter(FilterExpr("x", "=", "http://a"), {"x": "http://a"})
 

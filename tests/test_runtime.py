@@ -24,7 +24,10 @@ from rosie.runtime import (
     run,
     should_materialize,
 )
-from rosie.store import Dataset, make_literal
+from rosie import runtime
+from rosie.planner import RelationLeaf
+from rosie.runtime import profile_unit
+from rosie.store import Dataset, Relation, make_literal, register_intermediate
 
 from genqueries import random_dataset, random_query_text
 from naive_eval import evaluate_query
@@ -202,13 +205,43 @@ class TestTraces:
             assert (s.actual is not None) == (s.decision == "materialize")
 
     def test_materialized_leaf_estimates_are_exact(self):
+        # a registered relation profiles as the point of its row count, and
+        # eager's trace shows each re-planned leaf R<id> at exactly that point
+        d = correlated_star()
+        rid = register_intermediate(d, Relation(("x",), [(1,), (2,), (3,)]))
+        profile = profile_unit(RelationLeaf(rid), d, {})
+        assert profile.est == profile.interval.lo == profile.interval.hi == 3.0
+        q = parse_query(CORRELATED_STAR_QUERY)
+        _, trace = run(q, d, Policy("eager"))
+        leaves = 0
+        for prev, s in zip(trace.steps, trace.steps[1:]):
+            if prev.decision == "materialize":
+                assert s.leaf.startswith("R") and s.decision == "continue"
+                assert s.est == s.lo == s.hi == prev.actual
+                leaves += 1
+        assert leaves == 2
+
+    def test_rosie_materialize_records_triggering_estimate(self):
+        # the step carries the estimate of the prefix it evaluated, taken
+        # before the restart, next to the count that evaluation found
         d = correlated_star()
         q = parse_query(CORRELATED_STAR_QUERY)
         _, trace = run(q, d, Policy("rosie"))
-        mats = [s for s in trace.steps if s.decision == "materialize"]
-        assert mats
-        for s in mats:
-            assert s.est == s.lo == s.hi == s.actual
+        got = [(s.leaf, s.decision, s.est, s.lo, s.hi, s.hi_adj, s.actual)
+               for s in trace.steps]
+        assert got == [
+            ("T1", "continue", pytest.approx(0.432), 1.0, 60.0, 3.0, None),
+            ("T2", "continue", pytest.approx(0.432), 1.0, 60.0, 3.0, None),
+            ("R1", "materialize", pytest.approx(0.432), 1.0, 60.0, 3.0, 60),
+            ("T3", "continue", 60.0, 1.0, 3600.0, 180.0, None),
+        ]
+        # an empty prefix keeps its estimate too, not a made-up 0/0/0
+        d = adversarial_fanout()
+        _, trace = run(parse_query(ADVERSARIAL_QUERY), d, Policy("rosie"))
+        last = trace.steps[-1]
+        assert (last.leaf, last.decision, last.actual) == ("R1", "materialize", 0)
+        assert (last.lo, last.hi, last.hi_adj) == (1.0, 2.0, 1.0)
+        assert last.est == pytest.approx(0.0292434837889)
 
     def test_emit_trace_schema(self, tmp_path):
         d = correlated_star()
@@ -230,6 +263,7 @@ class TestTraces:
 
 class TestConcurrentQueries:
     def test_one_dataset_serves_parallel_queries(self):
+        import sys
         import threading
 
         d = correlated_star()
@@ -249,13 +283,49 @@ class TestConcurrentQueries:
             threading.Thread(target=worker, args=(kind,))
             for kind in ("static", "rosie", "eager", "rosie", "static", "eager")
         ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        # frequent thread switches interleave registering and releasing
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert not failures, failures
-        # every registered intermediate kept a distinct id
-        assert len(d.intermediates) == len(set(d.intermediates))
+        # every query freed what it registered
+        assert d.intermediates == {}
+
+    def test_run_frees_intermediates_and_ids_stay_distinct(self, monkeypatch):
+        d = correlated_star()
+        q = parse_query(CORRELATED_STAR_QUERY)
+        ids = []
+
+        def recording(dataset, rel):
+            rid = register_intermediate(dataset, rel)
+            ids.append(rid)
+            return rid
+
+        monkeypatch.setattr(runtime, "register_intermediate", recording)
+        for kind in ("eager", "rosie", "eager", "rosie"):
+            rel, trace = run(q, d, Policy(kind))
+            assert bag(rel) == evaluate_query(q, d)
+            assert d.intermediates == {}, kind
+        # eager materializes twice per run, rosie once
+        assert len(ids) == 6
+        assert len(set(ids)) == len(ids)
+        # a run that fails after materializing frees what it registered too
+
+        def failing(*args):
+            raise QueryTimeout(1.0)
+
+        monkeypatch.setattr(runtime, "collapse_materialized", failing)
+        with pytest.raises(QueryTimeout):
+            run(q, d, Policy("rosie"))
+        assert len(ids) == 7
+        assert d.intermediates == {}
 
 
 class TestTimeoutAndValidation:
