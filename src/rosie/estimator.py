@@ -269,7 +269,3 @@ def constraint_selectivity(constraint) -> float:
         else:
             sel *= RANGE_SELECTIVITY
     return sel
-
-
-def filter_error_interval() -> ErrorEstimate:
-    return ErrorEstimate(FILTER_ERROR_LO, FILTER_ERROR_HI)

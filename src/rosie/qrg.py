@@ -106,9 +106,6 @@ class QRG:
     def pattern_count(self) -> int:
         return len(self.leaves)
 
-    def leaf_vars(self, leaf_id: LeafId) -> list[str]:
-        return sorted(self.leaves[leaf_id].var_edges)
-
     def subtree_leaves(self, child: tuple[str, int]) -> set[LeafId]:
         kind, ident = child
         if kind == "leaf":

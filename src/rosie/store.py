@@ -14,13 +14,17 @@ query releases again when it ends.
 from __future__ import annotations
 
 import io
+import re
 import struct
+import sys
 import threading
+from array import array
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import BinaryIO, Iterable, NamedTuple, Optional
+from itertools import chain, islice
+from operator import itemgetter, lt
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, Optional
 
 from .errors import ParseError, SnapshotFormatError
 
@@ -28,6 +32,9 @@ TermId = int
 RelationId = int
 
 SNAPSHOT_MAGIC = b"ROSIEDB1"
+_U32 = struct.Struct("<I")
+# the array typecode of an unsigned 32-bit integer (4 bytes on common hosts)
+_U32_ARRAY = next(code for code in "IL" if array(code).itemsize == 4)
 
 # Term canonical forms:
 #   IRI      -> the IRI string itself (no angle brackets)
@@ -80,9 +87,11 @@ class Triple(NamedTuple):
 class TermDictionary:
     """Bijective term <-> id mapping; ids are dense and first-seen ordered."""
 
-    def __init__(self) -> None:
-        self._terms: list[str] = []
-        self._ids: dict[str, TermId] = {}
+    def __init__(self, ids: Optional[dict[str, TermId]] = None) -> None:
+        """`ids`, when given, maps each term to its id and lists the terms
+        in id order 0, 1, 2, ...; the dictionary takes it over."""
+        self._ids: dict[str, TermId] = {} if ids is None else ids
+        self._terms: list[str] = list(self._ids)
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -142,16 +151,18 @@ class Relation:
 class Dataset:
     """Immutable triple set plus dictionary, stats and query intermediates."""
 
-    def __init__(self, dictionary: TermDictionary, triples: set[Triple]):
+    def __init__(self, dictionary: TermDictionary, spo: list[tuple]):
+        """`spo` holds each (s, p, o) id triple once, in ascending order; it
+        becomes the SPO index as it is."""
         self.dict = dictionary
-        self.spo: list[tuple] = sorted(triples)
-        self.pos: list[tuple] = sorted((p, o, s) for s, p, o in triples)
-        self.osp: list[tuple] = sorted((o, s, p) for s, p, o in triples)
+        self.spo: list[tuple] = spo
+        self.pos: list[tuple] = sorted(map(itemgetter(1, 2, 0), spo))
+        self.osp: list[tuple] = sorted(map(itemgetter(2, 0, 1), spo))
         self.stats = Stats(
-            size=len(self.spo),
-            s_hist=Counter(t[0] for t in self.spo),
-            p_hist=Counter(t[1] for t in self.spo),
-            o_hist=Counter(t[2] for t in self.spo),
+            size=len(spo),
+            s_hist=Counter(map(itemgetter(0), spo)),
+            p_hist=Counter(map(itemgetter(1), spo)),
+            o_hist=Counter(map(itemgetter(2), spo)),
         )
         self.intermediates: dict[RelationId, Relation] = {}
         self._next_relation_id = 1
@@ -161,11 +172,14 @@ class Dataset:
 
     @classmethod
     def from_strings(cls, triples: Iterable[tuple[str, str, str]]) -> "Dataset":
-        d = TermDictionary()
-        enc: set[Triple] = set()
-        for s, p, o in triples:
-            enc.add(Triple(d.encode(s), d.encode(p), d.encode(o)))
-        return cls(d, enc)
+        # term -> id in first-seen order; the key order is the term list
+        ids: dict[str, TermId] = {}
+        intern = ids.setdefault
+        enc = {
+            (intern(s, len(ids)), intern(p, len(ids)), intern(o, len(ids)))
+            for s, p, o in triples
+        }
+        return cls(TermDictionary(ids), sorted(enc))
 
     @property
     def size(self) -> int:
@@ -197,8 +211,11 @@ def load_ntriples(source) -> Dataset:
         source = io.BytesIO(source)
     if isinstance(source, str):
         source = io.StringIO(source)
-    dictionary = TermDictionary()
-    triples: set[Triple] = set()
+    return Dataset.from_strings(_ntriples_terms(source))
+
+
+def _ntriples_terms(source) -> Iterator[tuple[str, str, str]]:
+    """The canonical terms of each triple line of a stream, in order."""
     for line_no, raw in enumerate(source, start=1):
         if isinstance(raw, bytes):
             try:
@@ -208,18 +225,41 @@ def load_ntriples(source) -> Dataset:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        terms = _parse_ntriples_line(line, line_no)
-        triples.add(
-            Triple(
-                dictionary.encode(terms[0]),
-                dictionary.encode(terms[1]),
-                dictionary.encode(terms[2]),
-            )
-        )
-    return Dataset(dictionary, triples)
+        yield _parse_ntriples_line(line, line_no)
+
+
+# A line whose terms are already in canonical form: the subject an IRI or an
+# ASCII blank node, the predicate an IRI, the object an IRI, an ASCII blank
+# node or a literal whose only escapes are \t \n \r \" \\, with no raw
+# tab, CR or LF, and an optional ASCII @lang or non-empty ^^<datatype>. Such a
+# literal is its own canonical form (`make_literal` of its unescaped lexical
+# form gives it back), so the groups are the terms. A label or tag is
+# followed by a character that would also end it in `_parse_ntriples_chars`.
+_BLANK = r"_:[A-Za-z0-9_-]+"
+_LITERAL = r'"[^"\\\t\r\n]*(?:\\[tnr"\\][^"\\\t\r\n]*)*"(?:@[A-Za-z0-9-]+|\^\^<[^>]+>)?'
+_CANONICAL_LINE = re.compile(
+    rf"[ \t]*(?:<([^>]*)>|({_BLANK}))"
+    r"[ \t]*<([^>]*)>"
+    rf"[ \t]*(?:<([^>]*)>|({_BLANK}|{_LITERAL}))"
+    r"[ \t]*\.[ \t]*(?:#.*)?",
+    re.DOTALL,
+)
 
 
 def _parse_ntriples_line(line: str, line_no: int) -> tuple[str, str, str]:
+    """The canonical terms of one N-Triples line, or ParseError.
+
+    A line in canonical form takes one regex match; any other line, and so
+    every error, goes to the character-level parser.
+    """
+    m = _CANONICAL_LINE.fullmatch(line)
+    if m is None:
+        return _parse_ntriples_chars(line, line_no)
+    s_iri, s_blank, p, o_iri, o_other = m.groups()
+    return (s_blank if s_iri is None else s_iri), p, (o_other if o_iri is None else o_iri)
+
+
+def _parse_ntriples_chars(line: str, line_no: int) -> tuple[str, str, str]:
     pos = 0
     terms = []
     for which in ("subject", "predicate", "object"):
@@ -410,44 +450,71 @@ def release_intermediates(d: Dataset, rids: Iterable[RelationId]) -> None:
 
 
 def snapshot_save(d: Dataset, sink: BinaryIO) -> None:
-    """Write a snapshot: magic, dictionary strings, fixed-width triples."""
-    sink.write(SNAPSHOT_MAGIC)
-    terms = d.dict.terms()
-    sink.write(struct.pack("<I", len(terms)))
-    for term in terms:
-        blob = term.encode("utf-8")
-        sink.write(struct.pack("<I", len(blob)))
-        sink.write(blob)
-    sink.write(struct.pack("<I", len(d.spo)))
-    for s, p, o in d.spo:
-        sink.write(struct.pack("<III", s, p, o))
+    """Write a snapshot: magic, dictionary strings, fixed-width triples.
+
+    Every integer is a little-endian u32: the term count, then each term's
+    UTF-8 length and bytes in id order, the triple count, then the SPO index
+    as (s, p, o) ids, so the triples are written in ascending order.
+    """
+    head = bytearray(SNAPSHOT_MAGIC)
+    head += _U32.pack(len(d.dict))
+    for blob in map(str.encode, d.dict.terms()):
+        head += _U32.pack(len(blob))
+        head += blob
+    head += _U32.pack(len(d.spo))
+    sink.write(head)
+    ids = array(_U32_ARRAY, chain.from_iterable(d.spo))
+    if sys.byteorder == "big":
+        ids.byteswap()
+    sink.write(ids)
 
 
 def snapshot_load(source: BinaryIO) -> Dataset:
-    magic = source.read(len(SNAPSHOT_MAGIC))
-    if magic != SNAPSHOT_MAGIC:
-        raise SnapshotFormatError(f"bad magic {magic!r}")
-    dictionary = TermDictionary()
-    (term_count,) = _read_struct(source, "<I")
-    for _ in range(term_count):
-        (length,) = _read_struct(source, "<I")
-        blob = source.read(length)
-        if len(blob) != length:
-            raise SnapshotFormatError("truncated dictionary entry")
-        dictionary.encode(blob.decode("utf-8"))
-    (triple_count,) = _read_struct(source, "<I")
-    triples: set[Triple] = set()
-    for _ in range(triple_count):
-        s, p, o = _read_struct(source, "<III")
-        if max(s, p, o) >= len(dictionary):
-            raise SnapshotFormatError("triple id out of dictionary range")
-        triples.add(Triple(s, p, o))
-    return Dataset(dictionary, triples)
+    """Read a snapshot `snapshot_save` wrote; SnapshotFormatError otherwise.
 
-
-def _read_struct(source: BinaryIO, fmt: str) -> tuple:
-    size = struct.calcsize(fmt)
-    blob = source.read(size)
-    if len(blob) != size:
+    A triple section in ascending order without repeats, as `snapshot_save`
+    writes it, becomes the SPO index as it is; any other is sorted and
+    deduplicated.
+    """
+    data = source.read()
+    off = len(SNAPSHOT_MAGIC)
+    if data[:off] != SNAPSHOT_MAGIC:
+        raise SnapshotFormatError(f"bad magic {data[:off]!r}")
+    ids: dict[str, TermId] = {}
+    try:
+        (term_count,) = _U32.unpack_from(data, off)
+        off += 4
+        for tid in range(term_count):
+            (length,) = _U32.unpack_from(data, off)
+            off += 4
+            blob = data[off : off + length]
+            if len(blob) != length:
+                raise SnapshotFormatError("truncated dictionary entry")
+            ids[blob.decode("utf-8")] = tid
+            off += length
+        (triple_count,) = _U32.unpack_from(data, off)
+        off += 4
+    except struct.error:
+        raise SnapshotFormatError("truncated snapshot") from None
+    except UnicodeDecodeError as exc:
+        raise SnapshotFormatError(
+            f"invalid UTF-8 in dictionary entry {tid}: {exc.reason}"
+        ) from None
+    if len(ids) != term_count:
+        raise SnapshotFormatError("duplicate dictionary string")
+    size = 12 * triple_count
+    if len(data) - off < size:
         raise SnapshotFormatError("truncated snapshot")
-    return struct.unpack(fmt, blob)
+    if len(data) - off > size:
+        raise SnapshotFormatError("trailing bytes after the triple section")
+    flat = array(_U32_ARRAY)
+    flat.frombytes(memoryview(data)[off:])
+    if sys.byteorder == "big":
+        flat.byteswap()
+    if flat and max(flat) >= term_count:
+        raise SnapshotFormatError("triple id out of dictionary range")
+    it = iter(flat)
+    spo = list(zip(it, it, it))
+    if not all(map(lt, spo, islice(spo, 1, None))):
+        spo = sorted(set(spo))
+    return Dataset(TermDictionary(ids), spo)

@@ -6,6 +6,7 @@ from click.testing import CliRunner
 from rosie.cli import main
 
 from conftest import D_TOY_NT
+from test_store import BAD_SNAPSHOTS
 
 QUERY_2ROWS = "SELECT ?x ?c WHERE { ?x <type> <Post> . ?x <content> ?c . }\n"
 
@@ -169,6 +170,17 @@ class TestQuery:
         qf = write_query(tmp_path, QUERY_2ROWS)
         result = runner.invoke(main, ["query", "--db", str(db), "--file", str(qf)])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("case", sorted(BAD_SNAPSHOTS))
+    def test_malformed_snapshot_exit_code(self, tmp_path, runner, case):
+        db = tmp_path / "db"
+        db.mkdir()
+        (db / "data.rosiedb").write_bytes(BAD_SNAPSHOTS[case])
+        qf = write_query(tmp_path, QUERY_2ROWS)
+        result = runner.invoke(main, ["query", "--db", str(db), "--file", str(qf)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("io error: ")
 
 
 class TestBench:

@@ -1,5 +1,6 @@
 import io
 import random
+import struct
 
 import pytest
 
@@ -238,3 +239,70 @@ class TestSnapshot:
         snapshot_save(load_ntriples(""), buf)
         buf.seek(0)
         assert snapshot_load(buf).size == 0
+
+
+def snapshot_bytes(terms: list[bytes], triples: list[tuple[int, int, int]]) -> bytes:
+    """A snapshot written by hand in the documented layout."""
+    out = [b"ROSIEDB1", struct.pack("<I", len(terms))]
+    for blob in terms:
+        out += [struct.pack("<I", len(blob)), blob]
+    out.append(struct.pack("<I", len(triples)))
+    out += [struct.pack("<III", *t) for t in triples]
+    return b"".join(out)
+
+
+GOOD_SNAPSHOT = snapshot_bytes([b"a", b"p", b"b"], [(0, 1, 0), (0, 1, 2)])
+
+# snapshots `snapshot_load` rejects with SnapshotFormatError, by case
+BAD_SNAPSHOTS = {
+    "invalid-utf8": snapshot_bytes([b"a", b"\xff\xfe", b"b"], [(0, 0, 2)]),
+    "trailing-bytes": GOOD_SNAPSHOT + b"\x00",
+    # without the check, a later id would shift and (0, 1, 2) would read a p b
+    "duplicate-term": snapshot_bytes([b"a", b"p", b"a", b"b"], [(0, 1, 2)]),
+}
+
+
+class TestSnapshotFormat:
+    def test_hand_written_snapshot_matches_save(self):
+        loaded = snapshot_load(io.BytesIO(GOOD_SNAPSHOT))
+        assert loaded.dict.terms() == ["a", "p", "b"]
+        assert loaded.spo == [(0, 1, 0), (0, 1, 2)]
+        buf = io.BytesIO()
+        snapshot_save(loaded, buf)
+        assert buf.getvalue() == GOOD_SNAPSHOT
+
+    def test_invalid_utf8_in_dictionary(self):
+        with pytest.raises(SnapshotFormatError, match="invalid UTF-8 in dictionary entry 1"):
+            snapshot_load(io.BytesIO(BAD_SNAPSHOTS["invalid-utf8"]))
+
+    def test_trailing_bytes(self):
+        with pytest.raises(SnapshotFormatError, match="trailing bytes"):
+            snapshot_load(io.BytesIO(BAD_SNAPSHOTS["trailing-bytes"]))
+
+    def test_duplicate_dictionary_string(self):
+        with pytest.raises(SnapshotFormatError, match="duplicate dictionary string"):
+            snapshot_load(io.BytesIO(BAD_SNAPSHOTS["duplicate-term"]))
+
+    def test_id_out_of_range(self):
+        with pytest.raises(SnapshotFormatError, match="out of dictionary range"):
+            snapshot_load(io.BytesIO(snapshot_bytes([b"a"], [(0, 0, 1)])))
+
+    @pytest.mark.parametrize("cut", [4, 9, 14, 16, len(GOOD_SNAPSHOT) - 1])
+    def test_truncated_anywhere(self, cut):
+        with pytest.raises(SnapshotFormatError):
+            snapshot_load(io.BytesIO(GOOD_SNAPSHOT[:cut]))
+
+    def test_unsorted_or_repeated_triples_load_to_the_same_dataset(self, d_toy):
+        buf = io.BytesIO()
+        snapshot_save(d_toy, buf)
+        terms = [t.encode("utf-8") for t in d_toy.dict.terms()]
+        shuffled = list(d_toy.spo) + d_toy.spo[:3]
+        random.Random(5).shuffle(shuffled)
+        for triples in (shuffled, d_toy.spo[::-1], d_toy.spo + d_toy.spo[-1:]):
+            loaded = snapshot_load(io.BytesIO(snapshot_bytes(terms, triples)))
+            assert loaded.dict.terms() == d_toy.dict.terms()
+            assert (loaded.spo, loaded.pos, loaded.osp) == (d_toy.spo, d_toy.pos, d_toy.osp)
+            assert loaded.stats == d_toy.stats
+            again = io.BytesIO()
+            snapshot_save(loaded, again)
+            assert again.getvalue() == buf.getvalue()
