@@ -4,7 +4,6 @@ re-optimization over incrementally materialized partial results."""
 from .errors import (
     DegenerateCard,
     InvalidCollapse,
-    NoAncestor,
     NotExchangeable,
     ParseError,
     PlanningStuck,
@@ -40,7 +39,6 @@ __all__ = [
     "variable_correlations",
     "DegenerateCard",
     "InvalidCollapse",
-    "NoAncestor",
     "NotExchangeable",
     "ParseError",
     "PlanningStuck",

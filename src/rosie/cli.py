@@ -8,6 +8,7 @@ queries. Data goes to stdout (TSV/CSV); diagnostics go to stderr.
 from __future__ import annotations
 
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -66,8 +67,15 @@ def cmd_load(source: str, db: str) -> None:
         sys.exit(2)
     try:
         Path(db).mkdir(parents=True, exist_ok=True)
-        with open(_db_file(db), "wb") as fh:
-            snapshot_save(dataset, fh)
+        # write beside the snapshot and rename over it, so that a failed
+        # write leaves any previous snapshot whole
+        tmp = Path(db) / f".{SNAPSHOT_NAME}.tmp"
+        try:
+            with open(tmp, "wb") as fh:
+                snapshot_save(dataset, fh)
+            os.replace(tmp, _db_file(db))
+        finally:
+            tmp.unlink(missing_ok=True)
     except OSError as exc:
         click.echo(f"io error: {exc}", err=True)
         sys.exit(2)

@@ -44,10 +44,6 @@ class UnsupportedFeature(RosieError):
         self.feature = name
 
 
-class NoAncestor(RosieError):
-    """Variable vertex reaches no operator (unreachable by construction)."""
-
-
 class InvalidCollapse(RosieError):
     """Requested collapse would reorder a left-outer-join boundary."""
 

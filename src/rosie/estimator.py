@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import DegenerateCard, ZeroEstimate
+from .frontend import AND, OPT, OR
 from .store import Stats, TermDictionary
 
 JOIN_TYPES = ("SS", "SO", "OO", "SP", "OP", "PP", "NONE")
@@ -41,16 +42,7 @@ class CardinalityInterval:
         return self.hi <= 0.0
 
 
-@dataclass(frozen=True)
-class ErrorEstimate:
-    """Interval of the ratio real/estimated cardinality."""
-
-    lo: float
-    hi: float
-
-    @classmethod
-    def point(cls, value: float) -> "ErrorEstimate":
-        return cls(value, value)
+EMPTY = CardinalityInterval(0.0, 0.0)
 
 
 def _bound_count(atom, stats: Stats, dictionary: TermDictionary, role: str) -> Optional[int]:
@@ -103,7 +95,7 @@ def tp_bounds(
         c = _bound_count(atom, stats, dictionary, role)
         if c is not None:
             if c == 0:
-                return CardinalityInterval(0.0, 0.0)
+                return EMPTY
             counts.append(c)
 
     n_bound = len(counts)
@@ -134,54 +126,59 @@ def join_selectivity_bounds(jt: str, card_i: float, card_j: float) -> tuple[floa
     return (lo, 1.0)
 
 
+def join_interval(
+    left: CardinalityInterval, right: CardinalityInterval, jt: str, op: str
+) -> CardinalityInterval:
+    """Bounds on the real cardinality of `left op right`.
+
+    And: empty if either side is; otherwise the product of the sides and
+    the join-selectivity interval, evaluated at the hi cardinalities (that
+    keeps the map monotone in every input interval), with lo clamped to
+    >= 1. Opt keeps every left row: empty only with an empty left side,
+    the left interval itself with an empty right side, otherwise at most
+    one extension per left row and right row plus each left row unmatched.
+    Or adds the two sides' bounds (`jt` is ignored).
+    """
+    if op == OR:
+        return CardinalityInterval(left.lo + right.lo, left.hi + right.hi)
+    if op == OPT:
+        if left.is_empty:
+            return EMPTY
+        if right.is_empty:
+            return left
+        return CardinalityInterval(left.lo, left.hi * right.hi + left.hi)
+    if left.is_empty or right.is_empty:
+        return EMPTY
+    sel_lo, sel_hi = join_selectivity_bounds(jt, max(left.hi, 1.0), max(right.hi, 1.0))
+    return CardinalityInterval(
+        max(1.0, left.lo * right.lo * sel_lo), left.hi * right.hi * sel_hi
+    )
+
+
+def filter_interval(iv: CardinalityInterval, selectivity: float) -> CardinalityInterval:
+    """Bounds after a filter of the given default selectivity, widened by
+    FILTER_ERROR_LO/FILTER_ERROR_HI; empty stays empty."""
+    if iv.is_empty:
+        return EMPTY
+    lo = max(1.0, iv.lo * selectivity * FILTER_ERROR_LO)
+    return CardinalityInterval(lo, max(lo, iv.hi * min(1.0, selectivity * FILTER_ERROR_HI)))
+
+
 def cs_bounds(steps: list[tuple[CardinalityInterval, Optional[str]]]) -> CardinalityInterval:
-    """Bounds for a chain of joined patterns.
+    """Bounds for a chain of joined patterns: a left fold of `join_interval`.
 
     `steps` pairs each pattern interval with the join type linking it to the
-    chain built so far (the first entry's type is ignored). Selectivity
-    bounds for each step are evaluated at the hi cardinalities of the
-    accumulated chain and the incoming pattern; that keeps the map monotone
-    in every input interval (widening never narrows the output) while
-    reproducing the worked-example arithmetic. lo clamps to >= 1 unless
-    some operand is impossible.
+    chain built so far (the first entry's type is ignored; None means a
+    Cartesian step). A non-empty result has lo >= 1.
     """
     if not steps:
         raise ValueError("need at least one step")
-    if any(iv.is_empty for iv, _ in steps):
-        return CardinalityInterval(0.0, 0.0)
-    lo = steps[0][0].lo
-    hi = steps[0][0].hi
-    for k in range(1, len(steps)):
-        iv, jt = steps[k]
-        jt = jt or "NONE"
-        sel_lo, sel_hi = join_selectivity_bounds(jt, max(hi, 1.0), max(iv.hi, 1.0))
-        lo *= iv.lo * sel_lo
-        hi *= iv.hi * sel_hi
-    return CardinalityInterval(max(lo, 1.0), hi)
-
-
-def propagate_error(
-    op: str,
-    eps_j: ErrorEstimate,
-    eps_k: Optional[ErrorEstimate] = None,
-    eps_sel: Optional[ErrorEstimate] = None,
-) -> ErrorEstimate:
-    """Combine child error ratios across one operator.
-
-    And/Opt multiply the child errors with the join-selectivity error; Or
-    takes the endpoint-wise max of its children; Filter is governed by the
-    constraint-selectivity error alone.
-    """
-    sel = eps_sel or ErrorEstimate.point(1.0)
-    if op in ("And", "Opt"):
-        k = eps_k or ErrorEstimate.point(1.0)
-        return ErrorEstimate(eps_j.lo * k.lo * sel.lo, eps_j.hi * k.hi * sel.hi)
-    if op == "Or":
-        k = eps_k or eps_j
-        return ErrorEstimate(max(eps_j.lo, k.lo), max(eps_j.hi, k.hi))
-    if op == "Filter":
-        return sel
-    raise ValueError(f"unknown operator {op!r}")
+    acc = steps[0][0]
+    for iv, jt in steps[1:]:
+        acc = join_interval(acc, iv, jt or "NONE", AND)
+    if acc.is_empty:
+        return EMPTY
+    return CardinalityInterval(max(acc.lo, 1.0), acc.hi)
 
 
 def error_ratio(real: float, est: float) -> float:
@@ -198,20 +195,6 @@ def adjusted_upper_error(bounds: CardinalityInterval, est: float, sigma: float) 
     if est <= 0.0:
         raise ZeroEstimate("adjusted error needs a positive estimate")
     return max(bounds.lo, sigma * bounds.hi) / est
-
-
-def check_error_condition(
-    bounds_current_next: CardinalityInterval,
-    est_current_next: float,
-    bounds_alt_next: CardinalityInterval,
-    est_alt_next: float,
-    sigma: float,
-) -> bool:
-    """True (keep going) iff the current ordering's adjusted upper error does
-    not exceed the best alternative's."""
-    eps_cur = adjusted_upper_error(bounds_current_next, est_current_next, sigma)
-    eps_alt = adjusted_upper_error(bounds_alt_next, est_alt_next, sigma)
-    return eps_cur <= eps_alt
 
 
 # ---------------------------------------------------------------------------

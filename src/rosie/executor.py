@@ -480,15 +480,3 @@ def _compile_filter(expr: FilterExpr) -> Callable[[str], bool]:
         return compare(lexical, operand)
 
     return holds
-
-
-def eval_filter(expr: FilterExpr, binding: dict[str, Optional[str]]) -> bool:
-    """Evaluate one atomic filter against decoded term strings.
-
-    Unbound variables and evaluation errors make the row fail (three-valued
-    logic collapsed to false).
-    """
-    term = binding.get(expr.var)
-    if term is None:
-        return False
-    return _compile_filter(expr)(lexical_form(term))

@@ -6,8 +6,7 @@ chains), pattern vertices (one per triple pattern, weighted with its
 cardinality estimate), and variable vertices (edges to every pattern that
 binds them, labelled with the position). Filter constraints attach to the
 operator vertex whose group they scope, as region annotations; they do not
-sit on the operator parent chain, so ancestor sets contain And/Or/Opt
-vertices only.
+sit on the operator parent chain.
 
 A materialized intermediate enters the graph as a synthetic pattern vertex
 whose weight is its exact row count; `collapse_materialized` rebuilds the
@@ -19,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import InvalidCollapse, NoAncestor
+from .errors import InvalidCollapse
 from .estimator import estimate_tp
 from .frontend import AND, OPT, OR, Constraint, Query, TriplePattern
 from .store import Stats, TermDictionary
@@ -102,9 +101,6 @@ class QRG:
             self.var_edges[var].sort(key=lambda e: (e[0], e[1] or ""))
 
     # -- basic accessors -----------------------------------------------------
-
-    def pattern_count(self) -> int:
-        return len(self.leaves)
 
     def subtree_leaves(self, child: tuple[str, int]) -> set[LeafId]:
         kind, ident = child
@@ -261,52 +257,8 @@ def region_of(g: QRG, op_id: OpId) -> Region:
     return Region(op_id, members)
 
 
-def ancestors(g: QRG, var: str) -> set[OpId]:
-    """All operator vertices on the chains from the variable's patterns up."""
-    entries = g.var_edges.get(var)
-    if not entries:
-        raise NoAncestor(f"variable ?{var} connects to no pattern")
-    out: set[OpId] = set()
-    for leaf_id, _pos in entries:
-        out.update(g.op_chain(g.leaves[leaf_id].op_id))
-    return out
-
-
-def lca(g: QRG, var: str) -> OpId:
-    """Operator minimizing the summed tree distance to all ancestors of var.
-
-    Distances run over the operator tree (parent links, undirected); ties
-    break toward the lowest vertex id.
-    """
-    anc = ancestors(g, var)
-    depths = {op_id: len(g.op_chain(op_id)) - 1 for op_id in g.ops}
-
-    def dist(a: OpId, b: OpId) -> int:
-        ca, cb = g.op_chain(a), g.op_chain(b)
-        sa, sb = set(ca), set(cb)
-        common = next(x for x in ca if x in sb)
-        return (depths[a] - depths[common]) + (depths[b] - depths[common])
-
-    best_id = None
-    best_sum = None
-    for cand in sorted(g.ops):
-        total = sum(dist(a, cand) for a in anc)
-        if best_sum is None or total < best_sum:
-            best_id, best_sum = cand, total
-    assert best_id is not None
-    return best_id
-
-
-def is_available(g: QRG, var: str, region: Region, arranged: set[LeafId]) -> bool:
-    """A variable is available in a region once every member pattern it
-    touches has been arranged (vacuously true without adjacency)."""
-    for leaf_id, _pos in g.var_edges.get(var, []):
-        if leaf_id in region.members and leaf_id not in arranged:
-            return False
-    return True
-
-
-def tree_lca_of_ops(g: QRG, op_ids: set[OpId]) -> OpId:
+def lowest_common_op(g: QRG, op_ids: set[OpId]) -> OpId:
+    """The deepest operator vertex on the parent chain of every given one."""
     chains = [list(reversed(g.op_chain(op_id))) for op_id in op_ids]
     common = g.root_id
     for level in range(min(len(c) for c in chains)):
@@ -377,7 +329,7 @@ def collapse_materialized(
         var_edges={v: () for v in sorted(arranged_vars & live_vars)},
         rel_id=rel_id,
     )
-    attach_at = tree_lca_of_ops(g, {g.leaves[lid].op_id for lid in arranged})
+    attach_at = lowest_common_op(g, {g.leaves[lid].op_id for lid in arranged})
     _reanchor: list[Constraint] = []
 
     def rebuild(op_id: OpId):

@@ -8,8 +8,9 @@ is materialized, the graph collapses around the exact intermediate, and
 planning restarts from it. A materialized empty prefix short-circuits the
 remaining steps (joins against an empty operand cannot produce rows).
 
-`static` runs the initial plan unmodified; `eager` materializes after every
-join step.
+One loop serves all three policies: `static` is the walk that never
+materializes, so it executes the initial plan as planned; `eager`
+materializes after every join step.
 """
 
 from __future__ import annotations
@@ -23,16 +24,14 @@ from .errors import QueryTimeout
 from .estimator import (
     CardinalityInterval,
     adjusted_upper_error,
-    check_error_condition,
     classify_join,
     constraint_selectivity,
     estimate_join,
     estimate_tp,
-    join_selectivity_bounds,
+    filter_interval,
+    join_interval,
     tp_bounds,
     tp_positions,
-    FILTER_ERROR_HI,
-    FILTER_ERROR_LO,
 )
 from .executor import compile_cs, execute
 from .frontend import AND, FILTER, OPT, OR, Query, query_variables
@@ -42,6 +41,7 @@ from .planner import (
     CSNode,
     PatternLeaf,
     RelationLeaf,
+    cs_leaves,
     cs_to_string,
     linearize,
     plan_cs,
@@ -95,6 +95,9 @@ class ExecutionTrace:
 
 def emit_trace(trace: ExecutionTrace, sink) -> None:
     """Write the trace as one JSON document to a path or file object."""
+    if not hasattr(sink, "write"):
+        with open(sink, "w", encoding="utf-8") as fh:
+            return emit_trace(trace, fh)
     doc = {
         "query": trace.query,
         "policy": trace.policy,
@@ -115,13 +118,8 @@ def emit_trace(trace: ExecutionTrace, sink) -> None:
         "result_cardinality": trace.result_cardinality,
         "total_ms": round(trace.total_ms, 3),
     }
-    if hasattr(sink, "write"):
-        json.dump(doc, sink, indent=2)
-        sink.write("\n")
-    else:
-        with open(sink, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+    json.dump(doc, sink, indent=2)
+    sink.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -138,34 +136,27 @@ class UnitProfile:
 
 @dataclass
 class StepState:
-    """Cumulative bounds/estimate of the executed prefix plus the pieces the
-    next extension needs: the previous unit's interval (pairwise join
-    selectivities) and the first-seen position of every bound variable."""
+    """Cumulative bounds/estimate of the executed prefix plus the
+    first-seen position of every bound variable, which the next extension
+    needs to classify its join."""
 
     cum: CardinalityInterval
     est: float
-    prev: CardinalityInterval
     positions: dict[str, str]
     var_order: dict[str, int]
 
     @classmethod
     def start(cls, profile: UnitProfile, var_order: dict[str, int]) -> "StepState":
-        return cls(profile.interval, profile.est, profile.interval,
-                   dict(profile.positions), var_order)
+        return cls(profile.interval, profile.est, dict(profile.positions), var_order)
 
     def advance(self, profile: UnitProfile, op: str) -> None:
-        self.cum, self.est, _ = extend_state(self, profile, op)
-        self.prev = profile.interval
+        self.cum, self.est = extend_state(self, profile, op)
         for var, pos in profile.positions.items():
             self.positions.setdefault(var, pos)
 
     def apply_filter_step(self, selectivity: float) -> None:
         self.est *= selectivity
-        lo = max(1.0, self.cum.lo * selectivity * FILTER_ERROR_LO)
-        hi = max(lo, self.cum.hi * min(1.0, selectivity * FILTER_ERROR_HI))
-        if self.cum.is_empty:
-            lo, hi = 0.0, 0.0
-        self.cum = CardinalityInterval(lo, hi)
+        self.cum = filter_interval(self.cum, selectivity)
 
 
 def _contains_fn(d: Dataset):
@@ -189,13 +180,9 @@ def profile_unit(unit: CS, d: Dataset, var_order: dict[str, int]) -> UnitProfile
     if isinstance(unit, CSFilter):
         child = profile_unit(unit.child, d, var_order)
         sel = constraint_selectivity(unit.constraint)
-        if child.interval.is_empty:
-            return UnitProfile(cs_to_string(unit), child.interval, 0.0, child.positions)
-        lo = max(1.0, child.interval.lo * sel * FILTER_ERROR_LO)
-        hi = max(lo, child.interval.hi * min(1.0, sel * FILTER_ERROR_HI))
+        est = 0.0 if child.interval.is_empty else child.est * sel
         return UnitProfile(
-            cs_to_string(unit), CardinalityInterval(lo, hi),
-            child.est * sel, child.positions,
+            cs_to_string(unit), filter_interval(child.interval, sel), est, child.positions
         )
     assert isinstance(unit, CSNode)
     left = profile_unit(unit.left, d, var_order)
@@ -203,55 +190,31 @@ def profile_unit(unit: CS, d: Dataset, var_order: dict[str, int]) -> UnitProfile
     positions = dict(left.positions)
     for var, pos in right.positions.items():
         positions.setdefault(var, pos)
-    if unit.op == OR:
-        iv = CardinalityInterval(
-            left.interval.lo + right.interval.lo,
-            left.interval.hi + right.interval.hi,
-        )
-        return UnitProfile(cs_to_string(unit), iv, left.est + right.est, positions)
     jt, _ = classify_join(left.positions, right.positions, var_order)
-    if unit.op == OPT:
-        joined = estimate_join(left.est, right.est, jt)
-        hi = left.interval.hi * right.interval.hi + left.interval.hi
-        iv = CardinalityInterval(left.interval.lo, hi)
-        return UnitProfile(cs_to_string(unit), iv, max(left.est, joined), positions)
-    # nested And subtree
-    if left.interval.is_empty or right.interval.is_empty:
-        return UnitProfile(cs_to_string(unit), CardinalityInterval(0.0, 0.0), 0.0, positions)
-    sel_lo, sel_hi = join_selectivity_bounds(
-        jt, max(left.interval.hi, 1.0), max(right.interval.hi, 1.0)
-    )
-    iv = CardinalityInterval(
-        max(1.0, left.interval.lo * right.interval.lo * sel_lo),
-        left.interval.hi * right.interval.hi * sel_hi,
-    )
-    return UnitProfile(
-        cs_to_string(unit), iv, estimate_join(left.est, right.est, jt), positions
-    )
+    iv = join_interval(left.interval, right.interval, jt, unit.op)
+    joined = estimate_join(left.est, right.est, jt)
+    if unit.op == OR:
+        est = left.est + right.est
+    elif unit.op == OPT:
+        est = max(left.est, joined)
+    else:  # nested And subtree
+        est = 0.0 if iv.is_empty else joined
+    return UnitProfile(cs_to_string(unit), iv, est, positions)
 
 
 def extend_state(
     state: StepState, profile: UnitProfile, op: str
-) -> tuple[CardinalityInterval, float, str]:
-    """Hypothetical bounds/estimate after joining the next unit."""
+) -> tuple[CardinalityInterval, float]:
+    """Hypothetical bounds/estimate after joining the next unit (an Opt
+    step over an empty unit keeps the prefix estimate)."""
     jt, _ = classify_join(state.positions, profile.positions, state.var_order)
-    if state.cum.is_empty or profile.interval.is_empty:
-        if op == OPT and not state.cum.is_empty:
-            return state.cum, state.est, jt
-        return CardinalityInterval(0.0, 0.0), 0.0, jt
-    if op == OPT:
-        hi = state.cum.hi * profile.interval.hi + state.cum.hi
-        iv = CardinalityInterval(state.cum.lo, hi)
-        est = max(state.est, estimate_join(state.est, profile.est, jt))
-        return iv, est, jt
-    sel_lo, sel_hi = join_selectivity_bounds(
-        jt, max(state.cum.hi, 1.0), max(profile.interval.hi, 1.0)
-    )
-    iv = CardinalityInterval(
-        max(1.0, state.cum.lo * profile.interval.lo * sel_lo),
-        state.cum.hi * profile.interval.hi * sel_hi,
-    )
-    return iv, estimate_join(state.est, profile.est, jt), jt
+    iv = join_interval(state.cum, profile.interval, jt, op)
+    if iv.is_empty:
+        return iv, 0.0
+    if op == OPT and profile.interval.is_empty:
+        return iv, state.est
+    est = estimate_join(state.est, profile.est, jt)
+    return iv, max(state.est, est) if op == OPT else est
 
 
 def should_materialize(
@@ -264,31 +227,26 @@ def should_materialize(
     """Decide whether to evaluate the prefix before taking the next step.
 
     Under `rosie` the adjusted upper error of the extended prefix must
-    exceed tau, and additionally no alternative same-region extension may
-    look at least as good; without alternatives the threshold decides alone.
+    exceed tau, and additionally some alternative same-region extension
+    must have a strictly lower adjusted upper error; without alternatives
+    the threshold decides alone.
     """
     if policy.kind == "static":
         return False
     if policy.kind == "eager":
         return True
-    bounds_next, est_next, _ = extend_state(state, next_profile, op)
-    if est_next <= 0.0 or bounds_next.is_empty:
+
+    def adjusted_error(profile: UnitProfile) -> Optional[float]:
+        bounds, est = extend_state(state, profile, op)
+        if est <= 0.0 or bounds.is_empty:
+            return None
+        return adjusted_upper_error(bounds, est, policy.sigma)
+
+    eps_cur = adjusted_error(next_profile)
+    if eps_cur is None or eps_cur <= policy.tau:
         return False
-    eps_cur = adjusted_upper_error(bounds_next, est_next, policy.sigma)
-    if eps_cur <= policy.tau:
-        return False
-    best: Optional[tuple[CardinalityInterval, float]] = None
-    best_eps = None
-    for alt in alternatives:
-        b, e, _ = extend_state(state, alt, op)
-        if e <= 0.0 or b.is_empty:
-            continue
-        eps = adjusted_upper_error(b, e, policy.sigma)
-        if best_eps is None or eps < best_eps:
-            best, best_eps = (b, e), eps
-    if best is None:
-        return True
-    return not check_error_condition(bounds_next, est_next, best[0], best[1], policy.sigma)
+    eps_alts = [eps for eps in map(adjusted_error, alternatives) if eps is not None]
+    return not eps_alts or eps_cur > min(eps_alts)
 
 
 # ---------------------------------------------------------------------------
@@ -326,56 +284,16 @@ def run(
     trace.plans.append(cs_to_string(cs))
     var_order = {v: i for i, v in enumerate(query_variables(q))}
 
-    if policy.kind == "static":
-        _record_static_steps(trace, cs, d, var_order, policy)
-        plan = compile_cs(cs, q.projection, q.modifiers, d)
-        result = execute(plan, d, clock.deadline, timeout_ms)
-    else:
-        registered: list[int] = []
-        try:
-            result = _run_incremental(
-                q, d, policy, g, cs, trace, var_order, clock, registered
-            )
-        finally:
-            # the query's intermediates die with it, however it ended
-            release_intermediates(d, registered)
+    registered: list[int] = []
+    try:
+        result = _run_incremental(q, d, policy, g, cs, trace, var_order, clock, registered)
+    finally:
+        # the query's intermediates die with it, however it ended
+        release_intermediates(d, registered)
 
     trace.result_cardinality = result.exact_cardinality
     trace.total_ms = clock.elapsed_ms()
     return result, trace
-
-
-def _record_static_steps(
-    trace: ExecutionTrace,
-    cs: CS,
-    d: Dataset,
-    var_order: dict[str, int],
-    policy: Policy,
-) -> None:
-    state: Optional[StepState] = None
-    for step in linearize(cs):
-        if step.op == FILTER:
-            assert step.constraint is not None
-            if state is not None:
-                state.apply_filter_step(constraint_selectivity(step.constraint.constraint))
-            continue
-        assert step.unit is not None
-        profile = profile_unit(step.unit, d, var_order)
-        if state is None:
-            state = StepState.start(profile, var_order)
-        else:
-            state.advance(profile, step.op or AND)
-        trace.steps.append(
-            StepRecord(
-                idx=len(trace.steps) + 1,
-                leaf=profile.label,
-                est=state.est,
-                lo=state.cum.lo,
-                hi=state.cum.hi,
-                hi_adj=max(state.cum.lo, policy.sigma * state.cum.hi),
-                decision="continue",
-            )
-        )
 
 
 def _applied_constraint_ordinals(unit: CS) -> set[int]:
@@ -386,57 +304,34 @@ def _applied_constraint_ordinals(unit: CS) -> set[int]:
     return set()
 
 
-def _leaf_pattern_ids(unit: CS) -> set[int]:
-    from .planner import cs_leaves
-
-    out: set[int] = set()
-    for leaf in cs_leaves(unit):
-        if isinstance(leaf, PatternLeaf):
-            out.add(leaf.tp.id)
-    return out
-
-
 def _qrg_ids_of_unit(g: QRG, unit: CS) -> set[int]:
     """Graph vertex ids covered by a plan fragment (patterns keep their tp
     ids; a relation leaf maps to its synthetic vertex)."""
-    from .planner import cs_leaves
-
-    out: set[int] = set()
-    rel_by_id = {
-        leaf.rel_id: lid for lid, leaf in g.leaves.items() if leaf.is_materialized
+    rel_by_id = {leaf.rel_id: lid for lid, leaf in g.leaves.items() if leaf.is_materialized}
+    return {
+        leaf.tp.id if isinstance(leaf, PatternLeaf) else rel_by_id[leaf.rel_id]
+        for leaf in cs_leaves(unit)
     }
-    for leaf in cs_leaves(unit):
-        if isinstance(leaf, PatternLeaf):
-            out.add(leaf.tp.id)
-        else:
-            out.add(rel_by_id[leaf.rel_id])
-    return out
 
 
 def _alternatives(
-    g: QRG, unit: CS, consumed: set[int], d: Dataset, var_order: dict[str, int]
+    g: QRG, unit: CS, prefix: CS, d: Dataset, var_order: dict[str, int]
 ) -> list[UnitProfile]:
-    """Other unconsumed patterns of the same exchangeable region."""
-    leaf: Optional[PatternLeaf] = None
-    if isinstance(unit, PatternLeaf):
-        leaf = unit
-    elif isinstance(unit, CSFilter) and isinstance(unit.child, PatternLeaf):
-        leaf = unit.child
-    if leaf is None or leaf.tp.id not in g.leaves:
+    """Other patterns of the same exchangeable region that are not yet in
+    the prefix (patterns of a materialized prefix have left the graph)."""
+    consumed = {leaf.tp.id for leaf in cs_leaves(prefix) if isinstance(leaf, PatternLeaf)}
+    leaf = unit.child if isinstance(unit, CSFilter) else unit
+    if not isinstance(leaf, PatternLeaf) or leaf.tp.id not in g.leaves:
         return []
-    vertex = g.leaves[leaf.tp.id]
-    region = region_of(g, vertex.op_id)
+    region = region_of(g, g.leaves[leaf.tp.id].op_id)
     if not region.is_exchangeable(g):
         return []
-    out = []
-    for member in sorted(region.members):
-        if member == leaf.tp.id or member in consumed:
-            continue
-        member_leaf = g.leaves[member]
-        if member_leaf.is_materialized:
-            continue
-        out.append(profile_unit(PatternLeaf(member_leaf.tp), d, var_order))
-    return out
+    return [
+        profile_unit(PatternLeaf(g.leaves[member].tp), d, var_order)
+        for member in sorted(region.members)
+        if member != leaf.tp.id and member not in consumed
+        and not g.leaves[member].is_materialized
+    ]
 
 
 def _run_incremental(
@@ -450,8 +345,9 @@ def _run_incremental(
     clock: _Clock,
     registered: list[int],
 ) -> Relation:
-    """Walk the plan under `eager` or `rosie`; every relation id it
-    registers is appended to `registered` for the caller to release."""
+    """Walk the plan step by step under any policy (`static` never
+    materializes); every relation id it registers is appended to
+    `registered` for the caller to release."""
 
     def materialize(prefix: CS) -> tuple[int, int]:
         rel = execute(
@@ -465,7 +361,6 @@ def _run_incremental(
     k = 0
     cs_sub: Optional[CS] = None
     state: Optional[StepState] = None
-    consumed: set[int] = set()
     short_circuited = False
 
     while k < len(steps):
@@ -486,21 +381,25 @@ def _run_incremental(
         if cs_sub is None or state is None:
             cs_sub = step.unit
             state = StepState.start(profile, var_order)
-            consumed |= _leaf_pattern_ids(step.unit)
             _record(trace, policy, profile.label, state, decision="continue", t0=step_t0)
             k += 1
             continue
 
-        # Decide before appending; a lone materialized leaf is never
-        # re-materialized (nothing new to learn). Rosie never splits at a
-        # left-outer-join boundary; eager materializes everywhere.
-        alts = _alternatives(g, step.unit, consumed, d, var_order)
+        # Decide before appending. Rosie never splits at a left-outer-join
+        # boundary and never re-materializes a lone materialized leaf
+        # (nothing new to learn); eager materializes everywhere.
         op = step.op or AND
-        materialize_now = (
-            (op != OPT or policy.kind == "eager")
-            and not (isinstance(cs_sub, RelationLeaf) and policy.kind == "rosie")
-            and should_materialize(state, profile, alts, policy, op)
-        )
+        if policy.kind == "rosie":
+            materialize_now = (
+                op != OPT
+                and not isinstance(cs_sub, RelationLeaf)
+                and should_materialize(
+                    state, profile, _alternatives(g, step.unit, cs_sub, d, var_order),
+                    policy, op,
+                )
+            )
+        else:
+            materialize_now = should_materialize(state, profile, [], policy, op)
 
         if materialize_now:
             label = None
@@ -509,7 +408,6 @@ def _run_incremental(
                 # prefix; filters placed directly after the step belong to it
                 cs_sub = CSNode(op, cs_sub, step.unit)
                 state.advance(profile, op)
-                consumed |= _leaf_pattern_ids(step.unit)
                 label = profile.label
                 k += 1
                 while k < len(steps) and steps[k].op == FILTER:
@@ -537,7 +435,6 @@ def _run_incremental(
 
         cs_sub = CSNode(op, cs_sub, step.unit)
         state.advance(profile, op)
-        consumed |= _leaf_pattern_ids(step.unit)
         _record(trace, policy, profile.label, state, decision="continue", t0=step_t0)
         k += 1
 
@@ -568,10 +465,8 @@ def _restart_from(
     steps = linearize(cs)
     first = steps[0]
     assert first.unit is not None and isinstance(first.unit, RelationLeaf)
-    profile = profile_unit(first.unit, d, var_order)
-    positions = state.positions
-    new_state = StepState.start(profile, var_order)
-    new_state.positions = positions
+    new_state = StepState.start(profile_unit(first.unit, d, var_order), var_order)
+    new_state.positions = state.positions
     return g, cs, steps, first.unit, new_state
 
 

@@ -307,12 +307,16 @@ def _parse_term(line: str, pos: int, line_no: int, which: str) -> tuple[str, int
                 if nxt == "u" or nxt == "U":
                     width = 4 if nxt == "u" else 8
                     hexdigits = line[i + 2 : i + 2 + width]
-                    if len(hexdigits) != width:
+                    if not re.fullmatch("[0-9A-Fa-f]{%d}" % width, hexdigits):
                         raise ParseError(line_no, "bad unicode escape")
                     try:
-                        lexical.append(chr(int(hexdigits, 16)))
+                        char = chr(int(hexdigits, 16))
                     except ValueError:
                         raise ParseError(line_no, "bad unicode escape") from None
+                    if "\ud800" <= char <= "\udfff":
+                        # a lone surrogate is no character and cannot be stored
+                        raise ParseError(line_no, f"surrogate code point \\{nxt}{hexdigits}")
+                    lexical.append(char)
                     i += 2 + width
                     continue
                 if nxt not in _ESCAPES:
@@ -421,11 +425,6 @@ def pattern_schema(tp) -> tuple[str, ...]:
         if atom.is_var() and atom.name not in schema:
             schema.append(atom.name)
     return tuple(schema)
-
-
-def stats_lookup(d: Dataset, term: TermId, role: str) -> int:
-    """Exact count of triples with `term` at `role`; 0 when absent."""
-    return d.stats.count(term, role)
 
 
 def register_intermediate(d: Dataset, r: Relation) -> RelationId:

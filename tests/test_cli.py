@@ -54,6 +54,35 @@ class TestLoad:
         assert result.exit_code == 1
         assert "line 3" in result.stderr
 
+    def test_surrogate_escape_keeps_old_snapshot(self, toy_db, tmp_path, runner):
+        snapshot = toy_db / "data.rosiedb"
+        before = snapshot.read_bytes()
+        nt = tmp_path / "surrogate.nt"
+        nt.write_text('<s> <p> "\\ud800" .\n')
+        result = runner.invoke(main, ["load", str(nt), "--db", str(toy_db)])
+        assert result.exit_code == 1
+        assert "line 1" in result.stderr and "surrogate" in result.stderr
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert snapshot.read_bytes() == before
+        assert sorted(p.name for p in toy_db.iterdir()) == ["data.rosiedb"]
+
+    def test_failed_save_keeps_old_snapshot(self, toy_db, tmp_path, runner, monkeypatch):
+        snapshot = toy_db / "data.rosiedb"
+        before = snapshot.read_bytes()
+
+        def broken_save(dataset, fh):
+            fh.write(b"partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr("rosie.cli.snapshot_save", broken_save)
+        nt = tmp_path / "other.nt"
+        nt.write_text("<a> <b> <c> .\n")
+        result = runner.invoke(main, ["load", str(nt), "--db", str(toy_db)])
+        assert result.exit_code == 2
+        assert "disk full" in result.stderr
+        assert snapshot.read_bytes() == before
+        assert sorted(p.name for p in toy_db.iterdir()) == ["data.rosiedb"]
+
     def test_missing_file_is_io_error(self, tmp_path, runner):
         result = runner.invoke(
             main, ["load", str(tmp_path / "nope.nt"), "--db", str(tmp_path / "db")]

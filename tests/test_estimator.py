@@ -4,20 +4,22 @@ import pytest
 
 from rosie.errors import DegenerateCard, ZeroEstimate
 from rosie.estimator import (
+    JOIN_TYPES,
     CardinalityInterval,
-    ErrorEstimate,
     adjusted_upper_error,
-    check_error_condition,
     classify_join,
     cs_bounds,
     error_ratio,
     estimate_join,
     estimate_tp,
+    filter_interval,
+    join_interval,
     join_selectivity_bounds,
-    propagate_error,
     tp_bounds,
     tp_positions,
 )
+from rosie.frontend import AND, OPT
+from rosie.runtime import Policy, StepState, UnitProfile, should_materialize
 from rosie.store import Dataset
 
 from conftest import make_stats
@@ -186,37 +188,64 @@ class TestCsBounds:
             assert widened.hi >= base.hi - 1e-12
 
 
-class TestPropagateError:
-    def test_and_on_points(self):
-        out = propagate_error(
-            "And",
-            ErrorEstimate.point(2.0),
-            ErrorEstimate.point(3.0),
-            ErrorEstimate.point(1.0),
-        )
-        assert (out.lo, out.hi) == (6.0, 6.0)
+# variable positions on each side that make `classify_join` give a join type
+JOIN_SIDES = {
+    "SS": ("S", "S"), "SO": ("S", "O"), "OO": ("O", "O"),
+    "SP": ("S", "P"), "OP": ("O", "P"), "PP": ("P", "P"),
+}
 
-    def test_opt_multiplies_too(self):
-        out = propagate_error(
-            "Opt",
-            ErrorEstimate(1.0, 2.0),
-            ErrorEstimate(1.0, 3.0),
-            ErrorEstimate(0.5, 1.0),
-        )
-        assert (out.lo, out.hi) == (0.5, 6.0)
 
-    def test_or_endpoint_max(self):
-        out = propagate_error("Or", ErrorEstimate(1.0, 4.0), ErrorEstimate(2.0, 3.0))
-        assert (out.lo, out.hi) == (2.0, 4.0)
+class TestIntervalPrimitives:
+    def test_cs_bounds_is_the_runtime_fold(self):
+        """`cs_bounds` gives exactly what the runtime's `extend_state`
+        computes when it walks the same chain step by step."""
+        rng = random.Random(11)
+        for _ in range(500):
+            steps = []
+            for i in range(rng.randrange(1, 6)):
+                if rng.random() < 0.05:
+                    iv = CardinalityInterval(0.0, 0.0)
+                else:
+                    lo = rng.uniform(1, 50)
+                    iv = CardinalityInterval(lo, lo + rng.uniform(0, 100))
+                steps.append((iv, None if i == 0 else rng.choice(JOIN_TYPES)))
+            state = StepState.start(UnitProfile("T0", steps[0][0], 1.0, {}), {})
+            for k, (iv, jt) in enumerate(steps[1:], start=1):
+                if jt == "NONE":
+                    positions = {f"w{k}": "S"}
+                else:
+                    state.positions[f"v{k}"], right = JOIN_SIDES[jt]
+                    positions = {f"v{k}": right}
+                state.advance(UnitProfile(f"T{k}", iv, 1.0, positions), AND)
+            iv = cs_bounds(steps)
+            assert (iv.lo, iv.hi) == (state.cum.lo, state.cum.hi), steps
 
-    def test_filter_is_constraint_error_alone(self):
-        out = propagate_error(
-            "Filter",
-            ErrorEstimate(9.0, 9.0),
-            None,
-            ErrorEstimate(0.5, 2.0),
-        )
-        assert (out.lo, out.hi) == (0.5, 2.0)
+    def test_cartesian_chain_clamps_lo_at_each_step(self):
+        # the SS step's lo, 5 * 5 / 100, clamps to 1 before the product with 8
+        iv = cs_bounds([
+            (CardinalityInterval(5.0, 10.0), None),
+            (CardinalityInterval(5.0, 10.0), "SS"),
+            (CardinalityInterval(8.0, 8.0), "NONE"),
+        ])
+        assert (iv.lo, iv.hi) == (8.0, 80.0)
+
+    def test_empty_sides(self):
+        empty = CardinalityInterval(0.0, 0.0)
+        full = CardinalityInterval(3.0, 9.0)
+        for jt in JOIN_TYPES:
+            assert join_interval(empty, full, jt, OPT) == empty
+            assert join_interval(full, empty, jt, OPT) == full
+            assert join_interval(empty, full, jt, AND) == empty
+            assert join_interval(full, empty, jt, AND) == empty
+        assert join_interval(full, full, "SS", OPT) == CardinalityInterval(3.0, 90.0)
+
+    def test_filter_interval(self):
+        iv = CardinalityInterval
+        assert filter_interval(iv(0.0, 0.0), 0.1) == iv(0.0, 0.0)
+        # lo = max(1, 10 * 0.1 * 0.5), hi = 100 * min(1, 0.1 * 2)
+        assert filter_interval(iv(10.0, 100.0), 0.1) == iv(1.0, 20.0)
+        # hi, 40 * 0.02, is raised to lo, which is clamped to 1
+        assert filter_interval(iv(40.0, 40.0), 0.01) == iv(1.0, 1.0)
 
 
 class TestErrorRatio:
@@ -233,20 +262,40 @@ class TestErrorRatio:
         assert error_ratio(0, 0.0) == 1.0
 
 
+def decide(current, alt, est, sigma, tau=2.0):
+    """`should_materialize` for a next step and one alternative whose
+    extended prefixes have the given bounds and estimate: a Cartesian
+    step from a one-row prefix leaves a unit's interval and estimate as
+    they are."""
+    state = StepState.start(UnitProfile("R", CardinalityInterval.point(1.0), 1.0, {}), {})
+    return should_materialize(
+        state,
+        UnitProfile("T1", current, est, {}),
+        [UnitProfile("T2", alt, est, {})],
+        Policy("rosie", tau=tau, sigma=sigma),
+    )
+
+
 class TestErrorCondition:
     def test_identical_sides_hold(self):
         iv = CardinalityInterval(1.0, 100.0)
-        assert check_error_condition(iv, 10.0, iv, 10.0, 0.5) is True
+        assert decide(iv, iv, 10.0, 0.5) is False
 
     def test_worked_magnitudes_re_optimize(self):
         current = CardinalityInterval(1.0, 7e6)
         alt = CardinalityInterval(1.0, 1.4e4)
-        assert check_error_condition(current, 4.2, alt, 4.2, 1.0) is False
+        assert decide(current, alt, 4.2, 1.0) is True
 
     def test_tiny_sigma_clamps_to_lo(self):
         current = CardinalityInterval(1.0, 7e6)
         alt = CardinalityInterval(1.0, 1.4e4)
-        assert check_error_condition(current, 4.2, alt, 4.2, 1e-9) is True
+        # both adjusted errors clamp to lo / est = 0.24, below any tau
+        assert decide(current, alt, 4.2, 1e-9) is False
+        # with lo above tau * est the clamped errors tie, and a tie holds
+        current = CardinalityInterval(100.0, 7e6)
+        alt = CardinalityInterval(100.0, 1.4e4)
+        assert decide(current, alt, 4.2, 1e-9) is False
+        assert decide(current, alt, 4.2, 1.0) is True
 
     def test_adjusted_upper_error(self):
         iv = CardinalityInterval(2.0, 1000.0)
@@ -260,7 +309,7 @@ class TestPostHocErrorContainment:
     def test_ratio_lies_in_propagated_interval_on_fk_data(self):
         """On data satisfying containment/independence (every subject has
         exactly one edge per predicate), the realized error ratio of a join
-        falls inside the propagated error interval."""
+        falls inside the propagated interval divided by the estimate."""
         n = 40
         triples = []
         for i in range(n):
@@ -276,15 +325,10 @@ class TestPostHocErrorContainment:
         actual = n  # one q-edge per p-subject
         ratio = error_ratio(actual, est_join)
 
-        iv_a = tp_bounds(a, d.stats, d.dict)
-        iv_b = tp_bounds(b, d.stats, d.dict)
-        sel_lo, sel_hi = join_selectivity_bounds("SS", iv_a.hi, iv_b.hi)
-        eps_a = ErrorEstimate(iv_a.lo / est_a, iv_a.hi / est_a)
-        eps_b = ErrorEstimate(iv_b.lo / est_b, iv_b.hi / est_b)
-        sel_est = 1.0 / max(est_a, est_b)
-        eps_sel = ErrorEstimate(sel_lo / sel_est, sel_hi / sel_est)
-        eps = propagate_error("And", eps_a, eps_b, eps_sel)
-        assert eps.lo - 1e-9 <= ratio <= eps.hi + 1e-9
+        iv = join_interval(
+            tp_bounds(a, d.stats, d.dict), tp_bounds(b, d.stats, d.dict), "SS", AND
+        )
+        assert iv.lo / est_join - 1e-9 <= ratio <= iv.hi / est_join + 1e-9
 
 
 class TestClassifyJoin:

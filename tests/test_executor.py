@@ -10,14 +10,15 @@ from rosie.executor import (
     Project,
     Scan,
     UnionOp,
+    _compile_filter,
     compile_cs,
-    eval_filter,
     execute,
 )
 from rosie.frontend import FilterExpr, parse_query
 from rosie.planner import plan_cs
 from rosie.qrg import build_qrg
-from rosie.store import Dataset, Relation, register_intermediate
+from rosie.runtime import Policy, run
+from rosie.store import Dataset, Relation, lexical_form, make_literal, register_intermediate
 
 from genqueries import random_dataset, random_query_text
 from naive_eval import evaluate_query
@@ -113,35 +114,50 @@ class TestExecuteExamples:
         assert engine_bag(q, d) == evaluate_query(q, d)
 
 
+def holds(expr, term):
+    """One atomic filter compiled and applied to a term's lexical form, as
+    the executor decides it per distinct term of a column."""
+    return _compile_filter(expr)(lexical_form(term))
+
+
 class TestEvalFilter:
     def test_numeric_comparison(self):
-        assert eval_filter(FilterExpr("n", ">", "3"), {"n": '"5"'})
-        assert not eval_filter(FilterExpr("n", ">", "7"), {"n": '"5"'})
+        assert holds(FilterExpr("n", ">", "3"), '"5"')
+        assert not holds(FilterExpr("n", ">", "7"), '"5"')
 
     def test_unbound_is_false(self):
-        assert not eval_filter(FilterExpr("n", ">", "3"), {"n": None})
-        assert not eval_filter(FilterExpr("n", ">", "3"), {})
+        # ?n is unbound in the OPTIONAL-padded row of c, which the filter drops
+        d = Dataset.from_strings(
+            [("a", "p", "b"), ("b", "q", make_literal("5")), ("c", "p", "d")]
+        )
+        q = parse_query(
+            "SELECT * WHERE { ?x <p> ?y . OPTIONAL { ?y <q> ?n . } FILTER(?n > 3) }"
+        )
+        for kind in ("static", "eager", "rosie"):
+            rel, _ = run(q, d, Policy(kind))
+            decoded = [tuple(map(d.dict.decode, row)) for row in rel.rows]
+            assert decoded == [("a", "b", '"5"')], kind
+            assert Counter(rel.rows) == evaluate_query(q, d), kind
 
     def test_regex_case_insensitive(self):
         expr = FilterExpr("s", "regex", "sep", "i")
-        assert eval_filter(expr, {"s": '"Sep2009"'})
-        assert not eval_filter(FilterExpr("s", "regex", "sep"), {"s": '"Sep2009"'})
+        assert holds(expr, '"Sep2009"')
+        assert not holds(FilterExpr("s", "regex", "sep"), '"Sep2009"')
 
     def test_lexicographic_fallback(self):
-        assert eval_filter(FilterExpr("s", "<", "b"), {"s": '"abc"'})
-        assert eval_filter(FilterExpr("s", "=", "abc"), {"s": '"abc"'})
+        assert holds(FilterExpr("s", "<", "b"), '"abc"')
+        assert holds(FilterExpr("s", "=", "abc"), '"abc"')
 
     def test_numeric_equality_across_forms(self):
-        assert eval_filter(FilterExpr("n", "=", "5"), {"n": '"5.0"'})
+        assert holds(FilterExpr("n", "=", "5"), '"5.0"')
 
     def test_bad_regex_drops_row(self):
-        assert not eval_filter(FilterExpr("s", "regex", "("), {"s": '"x"'})
+        assert not holds(FilterExpr("s", "regex", "("), '"x"')
 
     @pytest.mark.parametrize("kind", ["static", "eager", "rosie"])
     def test_bad_regex_warns_once_per_query(self, kind, caplog):
         # 60 content rows reach the filter; the pattern is compiled once
         from rosie.datagen import correlated_star
-        from rosie.runtime import Policy, run
 
         d = correlated_star()
         q = parse_query('SELECT * WHERE { ?p <content> ?o . FILTER regex(?o, "(") }')
@@ -155,7 +171,7 @@ class TestEvalFilter:
         assert "regex filter failed" in warnings[0].getMessage()
 
     def test_iri_terms_compare_lexically(self):
-        assert eval_filter(FilterExpr("x", "=", "http://a"), {"x": "http://a"})
+        assert holds(FilterExpr("x", "=", "http://a"), "http://a")
 
 
 class TestJoinProperties:

@@ -2,14 +2,11 @@ import random
 
 import pytest
 
-from rosie.errors import InvalidCollapse, NoAncestor
+from rosie.errors import InvalidCollapse
 from rosie.frontend import AND, OPT, parse_query
 from rosie.qrg import (
-    ancestors,
     build_qrg,
     collapse_materialized,
-    is_available,
-    lca,
     region_of,
     render_dot,
 )
@@ -32,7 +29,7 @@ def simple_qrg(text, size=1000, p_counts=None, o_counts=None):
 class TestBuild:
     def test_example_graph_shape(self, qe_qrg):
         g = qe_qrg
-        assert g.pattern_count() == 11
+        assert len(g.leaves) == 11
         labels = sorted(op.label for op in g.ops.values())
         assert labels == ["And1", "And2", "And3", "And4", "Opt1", "Or1"]
         # edge (?p1 -> T4) labelled S
@@ -49,7 +46,7 @@ class TestBuild:
             assert not (members & seen)
             seen |= members
             member_total += len(members)
-        assert member_total == g.pattern_count()
+        assert member_total == len(g.leaves)
         assert len(g.var_edges) == len(set(query_variables_of(g)))
 
     def test_single_pattern_gets_synthetic_root(self):
@@ -96,48 +93,10 @@ class TestRegions:
         assert not region_of(qe_qrg, by_label["Opt1"].id).is_exchangeable(qe_qrg)
 
 
-class TestAncestorsLca:
-    def test_example_variable(self, qe_qrg):
-        got = {qe_qrg.ops[o].label for o in ancestors(qe_qrg, "u1")}
-        assert got == {"And1", "And2", "Or1", "Opt1", "And3", "And4"}
-        assert qe_qrg.ops[lca(qe_qrg, "u1")].label == "And1"
-
-    def test_single_pattern_query(self):
-        _q, g = simple_qrg("SELECT ?x WHERE { ?x <p> <o> . }")
-        assert ancestors(g, "x") == {g.root_id}
-        assert lca(g, "x") == g.root_id
-
-    def test_variable_within_one_region(self):
-        _q, g = simple_qrg("SELECT * WHERE { ?x <p> ?y . ?x <q> ?z . }")
-        assert ancestors(g, "x") == {g.root_id}
-        assert lca(g, "x") == g.root_id
-
-    def test_lca_is_an_ancestor(self, qe_qrg):
-        for var in qe_qrg.var_edges:
-            assert lca(qe_qrg, var) in ancestors(qe_qrg, var)
-
-    def test_unknown_variable(self, qe_qrg):
-        with pytest.raises(NoAncestor):
-            ancestors(qe_qrg, "ghost")
-
-
-class TestAvailability:
-    def test_example_partial_plan(self, qe_qrg):
-        and2 = region_of(qe_qrg, op_by_label(qe_qrg)["And2"].id)
-        arranged = {5, 4, 6, 3}  # the narrated partial plan, constraint attached
-        assert is_available(qe_qrg, "p1", and2, arranged)
-        assert not is_available(qe_qrg, "u1", and2, arranged)
-        assert is_available(qe_qrg, "u1", and2, arranged | {1})
-
-    def test_vacuous_without_adjacency(self, qe_qrg):
-        and4 = region_of(qe_qrg, op_by_label(qe_qrg)["And4"].id)
-        assert is_available(qe_qrg, "pc", and4, set())
-
-
 class TestCollapse:
     def test_partial_region_collapse(self, qe_qrg):
         g2 = collapse_materialized(qe_qrg, {5, 4}, rel_id=1, exact_card=2)
-        assert g2.pattern_count() == 10  # 9 patterns + 1 synthetic
+        assert len(g2.leaves) == 10  # 9 patterns + 1 synthetic
         synth = [leaf for leaf in g2.leaves.values() if leaf.is_materialized]
         assert len(synth) == 1
         m = synth[0]
@@ -151,14 +110,14 @@ class TestCollapse:
 
     def test_collapse_all(self, qe_qrg):
         g2 = collapse_materialized(qe_qrg, set(qe_qrg.leaves), rel_id=3, exact_card=7)
-        assert g2.pattern_count() == 1
+        assert len(g2.leaves) == 1
         only = next(iter(g2.leaves.values()))
         assert only.is_materialized and only.weight == 7.0
         assert len(g2.ops) == 1
 
     def test_collapse_single_pattern_keeps_structure(self, qe_qrg):
         g2 = collapse_materialized(qe_qrg, {5}, rel_id=2, exact_card=70)
-        assert g2.pattern_count() == 11
+        assert len(g2.leaves) == 11
         assert sorted(op.label for op in g2.ops.values()) == sorted(
             op.label for op in qe_qrg.ops.values()
         )
@@ -169,7 +128,7 @@ class TestCollapse:
         arranged = {1, 2, 3, 4, 5, 6, 7, 8, 9}
         g2 = collapse_materialized(qe_qrg, arranged, rel_id=4, exact_card=11)
         # everything mandatory folded: Opt(M, And(T10, T11)) remains
-        assert g2.pattern_count() == 3
+        assert len(g2.leaves) == 3
         kinds = sorted(op.kind for op in g2.ops.values())
         assert kinds == [AND, OPT]
 
@@ -242,6 +201,4 @@ class TestRandomQueries:
         for text in shapes:
             _q, g = simple_qrg(text, p_counts={"p": 3, "q": 4, "r": 5, "s": 6})
             total = sum(len(region_of(g, op_id).members) for op_id in g.ops)
-            assert total == g.pattern_count()
-            for var in g.var_edges:
-                assert lca(g, var) in ancestors(g, var)
+            assert total == len(g.leaves)

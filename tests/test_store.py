@@ -15,7 +15,6 @@ from rosie.store import (
     scan,
     snapshot_load,
     snapshot_save,
-    stats_lookup,
     Relation,
 )
 
@@ -52,10 +51,10 @@ def naive_scan_count(d, pattern):
 class TestLoad:
     def test_toy_counts(self, d_toy):
         assert d_toy.size == 8
-        assert stats_lookup(d_toy, d_toy.dict.lookup("type"), "P") == 3
-        assert stats_lookup(d_toy, d_toy.dict.lookup("creator_of"), "P") == 2
-        assert stats_lookup(d_toy, d_toy.dict.lookup("u1"), "S") == 4
-        assert stats_lookup(d_toy, d_toy.dict.lookup("Post"), "O") == 2
+        assert d_toy.stats.count(d_toy.dict.lookup("type"), "P") == 3
+        assert d_toy.stats.count(d_toy.dict.lookup("creator_of"), "P") == 2
+        assert d_toy.stats.count(d_toy.dict.lookup("u1"), "S") == 4
+        assert d_toy.stats.count(d_toy.dict.lookup("Post"), "O") == 2
 
     def test_empty_stream(self):
         assert load_ntriples("").size == 0
@@ -86,6 +85,22 @@ class TestLoad:
     def test_malformed_variants(self, line):
         with pytest.raises(ParseError):
             load_ntriples(line + "\n")
+
+    @pytest.mark.parametrize("escape", ["\\ud800", "\\uDFFF", "\\U0000D800", "\\U0000dc00"])
+    def test_surrogate_escape_is_a_parse_error(self, escape):
+        # a lone surrogate cannot be encoded, so it must not reach a snapshot
+        text = f'<a> <b> <c> .\n<s> <p> "x{escape}y" .\n'
+        with pytest.raises(ParseError) as err:
+            load_ntriples(text)
+        assert err.value.line_no == 2
+        assert "surrogate" in err.value.reason
+
+    @pytest.mark.parametrize("escape", ["\\u+041", "\\u0_41", "\\u 041", "\\U-0000041"])
+    def test_non_hex_unicode_escape_is_a_parse_error(self, escape):
+        # int(..., 16) alone would take a sign, an underscore or a space
+        with pytest.raises(ParseError) as err:
+            load_ntriples(f'<s> <p> "x{escape}y" .\n')
+        assert (err.value.line_no, err.value.reason) == (1, "bad unicode escape")
 
     def test_literals_with_lang_datatype_and_escapes(self):
         text = (
@@ -164,18 +179,18 @@ class TestScan:
     def test_histograms_consistent_with_scans(self, d_toy):
         for term in d_toy.dict.terms():
             tid = d_toy.dict.lookup(term)
-            assert stats_lookup(d_toy, tid, "P") == scan(
+            assert d_toy.stats.count(tid, "P") == scan(
                 d_toy, tp("?s", term, "?o")
-            ) .exact_cardinality
-            assert stats_lookup(d_toy, tid, "S") == scan(
+            ).exact_cardinality
+            assert d_toy.stats.count(tid, "S") == scan(
                 d_toy, tp(term, "?p", "?o")
             ).exact_cardinality
-            assert stats_lookup(d_toy, tid, "O") == scan(
+            assert d_toy.stats.count(tid, "O") == scan(
                 d_toy, tp("?s", "?p", term)
             ).exact_cardinality
 
     def test_stats_lookup_absent_term(self, d_toy):
-        assert stats_lookup(d_toy, 10_000, "S") == 0
+        assert d_toy.stats.count(10_000, "S") == 0
 
 
 class TestIntermediates:
