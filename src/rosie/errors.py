@@ -20,6 +20,18 @@ class ParseError(RosieError):
         self.reason = reason
 
 
+class EscapeError(RosieError):
+    """Malformed escape in a string body; `offset` is the backslash's index.
+
+    Each parser maps it to its own error with a line or a query offset.
+    """
+
+    def __init__(self, offset: int, reason: str):
+        super().__init__(reason)
+        self.offset = offset
+        self.reason = reason
+
+
 class SnapshotFormatError(RosieError):
     """Snapshot stream does not carry the expected magic/version."""
 

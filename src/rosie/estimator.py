@@ -10,7 +10,7 @@ bound that drives mid-query re-optimization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .errors import DegenerateCard, ZeroEstimate
 from .frontend import AND, OPT, OR
@@ -78,17 +78,15 @@ def estimate_join(card_i: float, card_j: float, jt: str) -> float:
     return card_i * card_j / max(card_i, card_j, 1.0)
 
 
-def tp_bounds(
-    tp,
-    stats: Stats,
-    dictionary: TermDictionary,
-    contains: Optional[Callable[[str, str, str], bool]] = None,
-) -> CardinalityInterval:
+def tp_bounds(tp, stats: Stats, dictionary: TermDictionary) -> CardinalityInterval:
     """Real-cardinality bounds for one pattern.
 
     Patterns with two or more variables are captured exactly by the
     histograms. One-variable patterns get [max(1, product/|D|), min(counts)].
-    Fully bound patterns need a point-lookup callable.
+    A fully bound pattern (the parser rejects it; only a hand-built query
+    has one) matches at most one triple: [0, 1]. A bound term absent from
+    the data gives the empty interval, so the interval is empty exactly
+    when `estimate_tp` is 0.
     """
     counts: list[int] = []
     for role, atom in tp.atoms():
@@ -108,10 +106,7 @@ def tp_bounds(
         lo = max(1.0, counts[0] * counts[1] / size)
         hi = float(min(counts))
         return CardinalityInterval(lo, hi)
-    if contains is None:
-        raise ValueError("fully bound pattern needs a point-lookup callable")
-    present = contains(tp.s.value, tp.p.value, tp.o.value)
-    return CardinalityInterval.point(1.0 if present else 0.0)
+    return CardinalityInterval(0.0, 1.0)
 
 
 def join_selectivity_bounds(jt: str, card_i: float, card_j: float) -> tuple[float, float]:
@@ -200,14 +195,6 @@ def adjusted_upper_error(bounds: CardinalityInterval, est: float, sigma: float) 
 # ---------------------------------------------------------------------------
 # Join classification
 # ---------------------------------------------------------------------------
-
-def tp_positions(tp) -> dict[str, str]:
-    """First position (S < P < O) of each variable in a pattern."""
-    out: dict[str, str] = {}
-    for pos, name in tp.variables():
-        out.setdefault(name, pos)
-    return out
-
 
 def classify_join(
     left_positions: dict[str, str],

@@ -19,8 +19,8 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .errors import QuerySyntaxError, UnsupportedFeature
-from .store import make_literal
+from .errors import EscapeError, QuerySyntaxError, UnsupportedFeature
+from .store import escape_literal, make_literal, unescape
 
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 
@@ -659,30 +659,12 @@ class _Parser:
 
 
 def _unescape_string(text: str, pos: int) -> str:
-    body = text[1:-1]
-    out = []
-    i = 0
-    escapes = {"t": "\t", "n": "\n", "r": "\r", '"': '"', "'": "'", "\\": "\\"}
-    while i < len(body):
-        c = body[i]
-        if c == "\\":
-            if i + 1 >= len(body):
-                raise QuerySyntaxError(pos + i, "a complete escape sequence")
-            nxt = body[i + 1]
-            if nxt in ("u", "U"):
-                width = 4 if nxt == "u" else 8
-                hexdigits = body[i + 2 : i + 2 + width]
-                if len(hexdigits) != width:
-                    raise QuerySyntaxError(pos + i, "a valid unicode escape")
-                out.append(chr(int(hexdigits, 16)))
-                i += 2 + width
-                continue
-            out.append(escapes.get(nxt, nxt))
-            i += 2
-            continue
-        out.append(c)
-        i += 1
-    return "".join(out)
+    """The value of the STRING token `text` at offset `pos`; its escapes
+    are those of N-Triples literals."""
+    try:
+        return unescape(text[1:-1])
+    except EscapeError as exc:
+        raise QuerySyntaxError(pos + 1 + exc.offset, f"a valid escape ({exc.reason})") from None
 
 
 def _collect_operators(node: Node) -> set[str]:
@@ -768,11 +750,11 @@ def _render_filter(c: Constraint) -> str:
     parts = []
     for e in c.exprs:
         if e.op == "regex":
-            flag_part = f', "{e.flags}"' if e.flags else ""
-            parts.append(f'regex(str(?{e.var}), "{e.operand}"{flag_part})')
+            flag_part = f', "{escape_literal(e.flags)}"' if e.flags else ""
+            parts.append(f'regex(str(?{e.var}), "{escape_literal(e.operand)}"{flag_part})')
         else:
             operand = e.operand
             if not re.fullmatch(r"[+-]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?", operand):
-                operand = '"' + operand.replace("\\", "\\\\").replace('"', '\\"') + '"'
+                operand = f'"{escape_literal(operand)}"'
             parts.append(f"?{e.var} {e.op} {operand}")
     return "FILTER (" + " && ".join(parts) + ")"

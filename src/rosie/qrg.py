@@ -3,14 +3,17 @@
 Three vertex families: operator vertices (an n-ary And/Or group or a binary
 Opt, derived from the semantics tree by merging maximal same-operator
 chains), pattern vertices (one per triple pattern, weighted with its
-cardinality estimate), and variable vertices (edges to every pattern that
-binds them, labelled with the position). Filter constraints attach to the
-operator vertex whose group they scope, as region annotations; they do not
-sit on the operator parent chain.
+cardinality estimate and carrying its cardinality interval), and variable
+vertices (edges to every pattern that binds them, labelled with the
+position). Filter constraints attach to the operator vertex whose group
+they scope, as region annotations; they do not sit on the operator parent
+chain.
 
 A materialized intermediate enters the graph as a synthetic pattern vertex
-whose weight is its exact row count; `collapse_materialized` rebuilds the
-graph around it.
+whose weight and interval are its exact row count; `collapse_materialized`
+rebuilds the graph around it. The graph is the per-query memo of these
+numbers: the runtime reads each pattern's estimate and bounds off its vertex
+and never recomputes them from the dataset.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import InvalidCollapse
-from .estimator import estimate_tp
+from .estimator import CardinalityInterval, estimate_tp, tp_bounds
 from .frontend import AND, OPT, OR, Constraint, Query, TriplePattern
 from .store import Stats, TermDictionary
 
@@ -35,6 +38,7 @@ class LeafVertex:
     weight: float
     op_id: OpId
     var_edges: dict[str, tuple[str, ...]]  # variable -> position labels
+    interval: CardinalityInterval  # bounds on the real cardinality
     tp: Optional[TriplePattern] = None
     rel_id: Optional[int] = None
 
@@ -88,6 +92,8 @@ class QRG:
         self.root_id = root_id
         self.constraint_labels = constraint_labels
         self._next_leaf_id = next_leaf_id
+        # plan leaves name vertices by label: T<pattern id> or R<relation id>
+        self.by_label = {leaf.label: leaf for leaf in leaves.values()}
         self.var_edges: dict[str, list[tuple[LeafId, Optional[str]]]] = {}
         for leaf in leaves.values():
             for var, positions in leaf.var_edges.items():
@@ -130,15 +136,13 @@ def build_qrg(q: Query, stats: Stats, dictionary: TermDictionary) -> QRG:
     """Derive the graph from a parsed query and dataset statistics."""
     root = _structure_of(q.tree)
     labels = {c.ordinal: q.constraint_label(c) for c in q.constraints}
-    weights = {
-        tp.id: estimate_tp(tp, stats, dictionary) for tp in q.patterns
-    }
     leaf_info = {
         tp.id: LeafVertex(
             id=tp.id,
-            weight=weights[tp.id],
+            weight=estimate_tp(tp, stats, dictionary),
             op_id=-1,
             var_edges=_tp_var_edges(tp),
+            interval=tp_bounds(tp, stats, dictionary),
             tp=tp,
         )
         for tp in q.patterns
@@ -280,8 +284,9 @@ def collapse_materialized(
     """Replace the arranged patterns with one synthetic vertex.
 
     The synthetic vertex carries the exact cardinality as its weight and
-    attaches under the lowest operator covering everything it absorbed;
-    variables still needed by live patterns keep (unlabelled) edges to it.
+    as a point interval, and attaches under the lowest operator covering
+    everything it absorbed; variables still needed by live patterns keep
+    (unlabelled) edges to it; live vertices keep their weight and interval.
     Operators left without enough children are contracted away. The graph
     is rebuilt rather than patched; at the sizes this engine targets the
     difference is immaterial.
@@ -327,6 +332,7 @@ def collapse_materialized(
         weight=float(exact_card),
         op_id=-1,
         var_edges={v: () for v in sorted(arranged_vars & live_vars)},
+        interval=CardinalityInterval.point(float(exact_card)),
         rel_id=rel_id,
     )
     attach_at = lowest_common_op(g, {g.leaves[lid].op_id for lid in arranged})
@@ -384,6 +390,7 @@ def collapse_materialized(
             weight=old.weight,
             op_id=-1,
             var_edges=dict(old.var_edges),
+            interval=old.interval,
             tp=old.tp,
             rel_id=old.rel_id,
         )

@@ -11,6 +11,11 @@ remaining steps (joins against an empty operand cannot produce rows).
 One loop serves all three policies: `static` is the walk that never
 materializes, so it executes the initial plan as planned; `eager`
 materializes after every join step.
+
+The decision code reads only the query graph: each leaf's estimate and
+interval sit on its vertex, computed once per query by `build_qrg` (or, for
+a materialized prefix, set to its row count by the collapse). Only
+execution touches the dataset.
 """
 
 from __future__ import annotations
@@ -27,11 +32,8 @@ from .estimator import (
     classify_join,
     constraint_selectivity,
     estimate_join,
-    estimate_tp,
     filter_interval,
     join_interval,
-    tp_bounds,
-    tp_positions,
 )
 from .executor import compile_cs, execute
 from .frontend import AND, FILTER, OPT, OR, Query, query_variables
@@ -46,7 +48,7 @@ from .planner import (
     linearize,
     plan_cs,
 )
-from .qrg import QRG, build_qrg, collapse_materialized, region_of
+from .qrg import QRG, LeafVertex, build_qrg, collapse_materialized, region_of
 from .store import Dataset, Relation, register_intermediate, release_intermediates
 
 POLICY_KINDS = ("static", "eager", "rosie")
@@ -159,34 +161,28 @@ class StepState:
         self.cum = filter_interval(self.cum, selectivity)
 
 
-def _contains_fn(d: Dataset):
-    def contains(s: str, p: str, o: str) -> bool:
-        sid, pid, oid = d.dict.lookup(s), d.dict.lookup(p), d.dict.lookup(o)
-        if sid is None or pid is None or oid is None:
-            return False
-        return d.has_triple(sid, pid, oid)
-
-    return contains
+def _vertex_profile(v: LeafVertex) -> UnitProfile:
+    """A leaf's profile: its vertex's interval and weight, and the first
+    position of each variable (a synthetic vertex's edges have none)."""
+    positions = {var: pos[0] for var, pos in v.var_edges.items() if pos}
+    return UnitProfile(v.label, v.interval, v.weight, positions)
 
 
-def profile_unit(unit: CS, d: Dataset, var_order: dict[str, int]) -> UnitProfile:
-    if isinstance(unit, PatternLeaf):
-        iv = tp_bounds(unit.tp, d.stats, d.dict, _contains_fn(d))
-        est = estimate_tp(unit.tp, d.stats, d.dict)
-        return UnitProfile(unit.label, iv, est, tp_positions(unit.tp))
-    if isinstance(unit, RelationLeaf):
-        card = float(d.intermediates[unit.rel_id].exact_cardinality)
-        return UnitProfile(unit.label, CardinalityInterval.point(card), card, {})
+def profile_unit(unit: CS, g: QRG, var_order: dict[str, int]) -> UnitProfile:
+    """Bounds and estimate of a plan fragment, folded from its leaves'
+    vertices. Every estimate is 0 exactly when its interval is empty."""
+    if isinstance(unit, (PatternLeaf, RelationLeaf)):
+        return _vertex_profile(g.by_label[unit.label])
     if isinstance(unit, CSFilter):
-        child = profile_unit(unit.child, d, var_order)
+        child = profile_unit(unit.child, g, var_order)
         sel = constraint_selectivity(unit.constraint)
-        est = 0.0 if child.interval.is_empty else child.est * sel
         return UnitProfile(
-            cs_to_string(unit), filter_interval(child.interval, sel), est, child.positions
+            cs_to_string(unit), filter_interval(child.interval, sel),
+            child.est * sel, child.positions,
         )
     assert isinstance(unit, CSNode)
-    left = profile_unit(unit.left, d, var_order)
-    right = profile_unit(unit.right, d, var_order)
+    left = profile_unit(unit.left, g, var_order)
+    right = profile_unit(unit.right, g, var_order)
     positions = dict(left.positions)
     for var, pos in right.positions.items():
         positions.setdefault(var, pos)
@@ -198,23 +194,20 @@ def profile_unit(unit: CS, d: Dataset, var_order: dict[str, int]) -> UnitProfile
     elif unit.op == OPT:
         est = max(left.est, joined)
     else:  # nested And subtree
-        est = 0.0 if iv.is_empty else joined
+        est = joined
     return UnitProfile(cs_to_string(unit), iv, est, positions)
 
 
 def extend_state(
     state: StepState, profile: UnitProfile, op: str
 ) -> tuple[CardinalityInterval, float]:
-    """Hypothetical bounds/estimate after joining the next unit (an Opt
-    step over an empty unit keeps the prefix estimate)."""
+    """Hypothetical bounds/estimate after joining the next unit."""
     jt, _ = classify_join(state.positions, profile.positions, state.var_order)
-    iv = join_interval(state.cum, profile.interval, jt, op)
-    if iv.is_empty:
-        return iv, 0.0
-    if op == OPT and profile.interval.is_empty:
-        return iv, state.est
     est = estimate_join(state.est, profile.est, jt)
-    return iv, max(state.est, est) if op == OPT else est
+    return (
+        join_interval(state.cum, profile.interval, jt, op),
+        max(state.est, est) if op == OPT else est,
+    )
 
 
 def should_materialize(
@@ -238,7 +231,7 @@ def should_materialize(
 
     def adjusted_error(profile: UnitProfile) -> Optional[float]:
         bounds, est = extend_state(state, profile, op)
-        if est <= 0.0 or bounds.is_empty:
+        if est <= 0.0:
             return None
         return adjusted_upper_error(bounds, est, policy.sigma)
 
@@ -305,32 +298,26 @@ def _applied_constraint_ordinals(unit: CS) -> set[int]:
 
 
 def _qrg_ids_of_unit(g: QRG, unit: CS) -> set[int]:
-    """Graph vertex ids covered by a plan fragment (patterns keep their tp
-    ids; a relation leaf maps to its synthetic vertex)."""
-    rel_by_id = {leaf.rel_id: lid for lid, leaf in g.leaves.items() if leaf.is_materialized}
-    return {
-        leaf.tp.id if isinstance(leaf, PatternLeaf) else rel_by_id[leaf.rel_id]
-        for leaf in cs_leaves(unit)
-    }
+    """Graph vertex ids covered by a plan fragment."""
+    return {g.by_label[leaf.label].id for leaf in cs_leaves(unit)}
 
 
-def _alternatives(
-    g: QRG, unit: CS, prefix: CS, d: Dataset, var_order: dict[str, int]
-) -> list[UnitProfile]:
-    """Other patterns of the same exchangeable region that are not yet in
-    the prefix (patterns of a materialized prefix have left the graph)."""
-    consumed = {leaf.tp.id for leaf in cs_leaves(prefix) if isinstance(leaf, PatternLeaf)}
+def _alternatives(g: QRG, unit: CS, prefix: CS) -> list[UnitProfile]:
+    """Other vertices of the same exchangeable region that are not yet in
+    the prefix (patterns of a materialized prefix have left the graph, and
+    its synthetic vertex is the prefix's first leaf)."""
     leaf = unit.child if isinstance(unit, CSFilter) else unit
-    if not isinstance(leaf, PatternLeaf) or leaf.tp.id not in g.leaves:
+    if not isinstance(leaf, PatternLeaf):
         return []
-    region = region_of(g, g.leaves[leaf.tp.id].op_id)
+    vertex = g.by_label[leaf.label]
+    region = region_of(g, vertex.op_id)
     if not region.is_exchangeable(g):
         return []
+    consumed = _qrg_ids_of_unit(g, prefix)
     return [
-        profile_unit(PatternLeaf(g.leaves[member].tp), d, var_order)
+        _vertex_profile(g.leaves[member])
         for member in sorted(region.members)
-        if member != leaf.tp.id and member not in consumed
-        and not g.leaves[member].is_materialized
+        if member != vertex.id and member not in consumed
     ]
 
 
@@ -376,7 +363,7 @@ def _run_incremental(
             continue
 
         assert step.unit is not None
-        profile = profile_unit(step.unit, d, var_order)
+        profile = profile_unit(step.unit, g, var_order)
 
         if cs_sub is None or state is None:
             cs_sub = step.unit
@@ -394,8 +381,7 @@ def _run_incremental(
                 op != OPT
                 and not isinstance(cs_sub, RelationLeaf)
                 and should_materialize(
-                    state, profile, _alternatives(g, step.unit, cs_sub, d, var_order),
-                    policy, op,
+                    state, profile, _alternatives(g, step.unit, cs_sub), policy, op,
                 )
             )
         else:
@@ -426,7 +412,7 @@ def _run_incremental(
                 short_circuited = True
                 break
             g, cs, steps, cs_sub, state = _restart_from(
-                g, d, rid, card, cs_sub, state, var_order, trace
+                g, rid, card, cs_sub, state, var_order, trace
             )
             if policy.kind == "eager":
                 _record(trace, policy, f"R{rid}", state, decision="continue", t0=step_t0)
@@ -448,7 +434,6 @@ def _run_incremental(
 
 def _restart_from(
     g: QRG,
-    d: Dataset,
     rid: int,
     card: int,
     cs_sub: CS,
@@ -465,7 +450,7 @@ def _restart_from(
     steps = linearize(cs)
     first = steps[0]
     assert first.unit is not None and isinstance(first.unit, RelationLeaf)
-    new_state = StepState.start(profile_unit(first.unit, d, var_order), var_order)
+    new_state = StepState.start(profile_unit(first.unit, g, var_order), var_order)
     new_state.positions = state.positions
     return g, cs, steps, first.unit, new_state
 

@@ -26,7 +26,7 @@ from itertools import chain, islice
 from operator import itemgetter, lt
 from typing import BinaryIO, Iterable, Iterator, NamedTuple, Optional
 
-from .errors import ParseError, SnapshotFormatError
+from .errors import EscapeError, ParseError, SnapshotFormatError
 
 TermId = int
 RelationId = int
@@ -41,8 +41,47 @@ _U32_ARRAY = next(code for code in "IL" if array(code).itemsize == 4)
 #   literal  -> '"' escaped-lexical '"' plus optional @lang or ^^<datatype>
 #   blank    -> '_:' label
 
+# ECHAR, the single-character escapes of N-Triples and SPARQL strings
 _ESCAPES = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
+_HEX = re.compile("[0-9A-Fa-f]+")
 _REV_ESCAPES = {"\t": "\\t", "\n": "\\n", "\r": "\\r", '"': '\\"', "\\": "\\\\"}
+
+
+def unescape(body: str) -> str:
+    """Decode the escapes of a string body, as N-Triples literals and SPARQL
+    strings share them: ECHAR and `\\u`/`\\U` code points.
+
+    EscapeError on a dangling or unknown escape, a `\\u`/`\\U` without its
+    hex digits, a code point past U+10FFFF or a surrogate code point.
+    """
+    out = []
+    i = 0
+    while (j := body.find("\\", i)) >= 0:
+        out.append(body[i:j])
+        nxt = body[j + 1 : j + 2]
+        if nxt in _ESCAPES:
+            out.append(_ESCAPES[nxt])
+            i = j + 2
+        elif nxt == "u" or nxt == "U":
+            width = 4 if nxt == "u" else 8
+            digits = body[j + 2 : j + 2 + width]
+            if (
+                len(digits) != width or not _HEX.fullmatch(digits)
+                or int(digits, 16) > sys.maxunicode
+            ):
+                raise EscapeError(j, "bad unicode escape")
+            char = chr(int(digits, 16))
+            if "\ud800" <= char <= "\udfff":
+                # a lone surrogate is no character and cannot be stored
+                raise EscapeError(j, f"surrogate code point \\{nxt}{digits}")
+            out.append(char)
+            i = j + 2 + width
+        elif nxt:
+            raise EscapeError(j, f"unknown escape \\{nxt}")
+        else:
+            raise EscapeError(j, "dangling escape")
+    out.append(body[i:])
+    return "".join(out)
 
 
 def escape_literal(lexical: str) -> str:
@@ -214,6 +253,9 @@ def load_ntriples(source) -> Dataset:
     return Dataset.from_strings(_ntriples_terms(source))
 
 
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
 def _ntriples_terms(source) -> Iterator[tuple[str, str, str]]:
     """The canonical terms of each triple line of a stream, in order."""
     for line_no, raw in enumerate(source, start=1):
@@ -222,6 +264,11 @@ def _ntriples_terms(source) -> Iterator[tuple[str, str, str]]:
                 raw = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise ParseError(line_no, f"invalid UTF-8: {exc}") from None
+        elif surrogate := _SURROGATE.search(raw):
+            # what a byte source cannot hold: UTF-8 has no surrogates
+            raise ParseError(
+                line_no, f"surrogate code point U+{ord(surrogate.group()):04X}"
+            )
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -259,6 +306,10 @@ def _parse_ntriples_line(line: str, line_no: int) -> tuple[str, str, str]:
     return (s_blank if s_iri is None else s_iri), p, (o_other if o_iri is None else o_iri)
 
 
+# a literal's body: up to its closing quote, or to a dangling backslash
+_LITERAL_BODY = re.compile(r'(?:[^"\\]|\\.)*\\?', re.DOTALL)
+
+
 def _parse_ntriples_chars(line: str, line_no: int) -> tuple[str, str, str]:
     pos = 0
     terms = []
@@ -294,40 +345,13 @@ def _parse_term(line: str, pos: int, line_no: int, which: str) -> tuple[str, int
             raise ParseError(line_no, f"empty blank node label in {which}")
         return line[pos:end], end
     if c == '"':
-        lexical = []
-        i = pos + 1
-        while True:
-            if i >= len(line):
-                raise ParseError(line_no, f"unterminated literal in {which}")
-            ch = line[i]
-            if ch == "\\":
-                if i + 1 >= len(line):
-                    raise ParseError(line_no, "dangling escape")
-                nxt = line[i + 1]
-                if nxt == "u" or nxt == "U":
-                    width = 4 if nxt == "u" else 8
-                    hexdigits = line[i + 2 : i + 2 + width]
-                    if not re.fullmatch("[0-9A-Fa-f]{%d}" % width, hexdigits):
-                        raise ParseError(line_no, "bad unicode escape")
-                    try:
-                        char = chr(int(hexdigits, 16))
-                    except ValueError:
-                        raise ParseError(line_no, "bad unicode escape") from None
-                    if "\ud800" <= char <= "\udfff":
-                        # a lone surrogate is no character and cannot be stored
-                        raise ParseError(line_no, f"surrogate code point \\{nxt}{hexdigits}")
-                    lexical.append(char)
-                    i += 2 + width
-                    continue
-                if nxt not in _ESCAPES:
-                    raise ParseError(line_no, f"unknown escape \\{nxt}")
-                lexical.append(_ESCAPES[nxt])
-                i += 2
-                continue
-            if ch == '"':
-                break
-            lexical.append(ch)
-            i += 1
+        i = _LITERAL_BODY.match(line, pos + 1).end()
+        try:
+            lexical = unescape(line[pos + 1 : i])
+        except EscapeError as exc:
+            raise ParseError(line_no, exc.reason) from None
+        if i >= len(line):
+            raise ParseError(line_no, f"unterminated literal in {which}")
         i += 1
         lang = ""
         datatype = ""
@@ -347,7 +371,7 @@ def _parse_term(line: str, pos: int, line_no: int, which: str) -> tuple[str, int
                 raise ParseError(line_no, "unterminated datatype IRI")
             datatype = line[i + 3 : end]
             i = end + 1
-        return make_literal("".join(lexical), lang, datatype), i
+        return make_literal(lexical, lang, datatype), i
     raise ParseError(line_no, f"unexpected character {c!r} in {which}")
 
 

@@ -160,6 +160,15 @@ class TestQuery:
         assert result.exit_code == 1
         assert "expected" in result.stderr
 
+    @pytest.mark.parametrize("literal", ['"\\uZZZZ"', '"\\uD800"', '"a\\qb"'])
+    def test_bad_escape_is_a_syntax_error(self, tmp_path, runner, toy_db, literal):
+        qf = write_query(tmp_path, f"SELECT ?x WHERE {{ ?x <content> {literal} . }}\n")
+        result = runner.invoke(main, ["query", "--db", str(toy_db), "--file", str(qf)])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("syntax error:")
+        assert "Traceback" not in result.output + result.stderr
+        assert isinstance(result.exception, SystemExit)
+
     def test_timeout_exit_code(self, tmp_path, runner):
         triples = "\n".join(f"<s{i}> <p> <o{i}> ." for i in range(300))
         nt = tmp_path / "big.nt"

@@ -16,7 +16,6 @@ from rosie.estimator import (
     join_interval,
     join_selectivity_bounds,
     tp_bounds,
-    tp_positions,
 )
 from rosie.frontend import AND, OPT
 from rosie.runtime import Policy, StepState, UnitProfile, should_materialize
@@ -98,15 +97,14 @@ class TestTpBounds:
         # |s=u1| = 4, |o=u2| = 1
         assert close(iv.lo, 1.0) and close(iv.hi, 1.0)
 
-    def test_fully_bound_uses_point_lookup(self, d_toy):
-        def contains(s, p, o):
-            ids = [d_toy.dict.lookup(x) for x in (s, p, o)]
-            return None not in ids and d_toy.has_triple(*ids)
-
-        present = tp_bounds(tp("p1", "type", "Post"), d_toy.stats, d_toy.dict, contains)
-        absent = tp_bounds(tp("u1", "type", "Post"), d_toy.stats, d_toy.dict, contains)
-        assert (present.lo, present.hi) == (1.0, 1.0)
-        assert (absent.lo, absent.hi) == (0.0, 0.0)
+    def test_fully_bound_is_zero_to_one(self, d_toy):
+        # at most one triple matches, found or not: no lookup is needed
+        present = tp_bounds(tp("p1", "type", "Post"), d_toy.stats, d_toy.dict)
+        absent = tp_bounds(tp("u1", "type", "Post"), d_toy.stats, d_toy.dict)
+        assert (present.lo, present.hi) == (absent.lo, absent.hi) == (0.0, 1.0)
+        # a term the data lacks still makes it empty
+        missing = tp_bounds(tp("p1", "type", "nope"), d_toy.stats, d_toy.dict)
+        assert missing.is_empty
 
     def test_absent_bound_term(self, d_toy):
         iv = tp_bounds(tp("?x", "nope", "?y"), d_toy.stats, d_toy.dict)
@@ -333,24 +331,22 @@ class TestPostHocErrorContainment:
 
 class TestClassifyJoin:
     def test_kinds(self):
-        a = tp_positions(tp("?x", "p", "?y"))
-        assert classify_join(a, tp_positions(tp("?x", "q", "?z")), {"x": 0})[0] == "SS"
-        assert classify_join(a, tp_positions(tp("?z", "q", "?x")), {"x": 0})[0] == "SO"
+        a = {"x": "S", "y": "O"}  # ?x p ?y
+        assert classify_join(a, {"x": "S", "z": "O"}, {"x": 0})[0] == "SS"
+        assert classify_join(a, {"z": "S", "x": "O"}, {"x": 0})[0] == "SO"
+        assert classify_join({"a": "S", "x": "O"}, {"b": "S", "x": "O"}, {"x": 0})[0] == "OO"
+        assert classify_join(a, {"s": "S", "x": "P", "o": "O"}, {"x": 0})[0] == "SP"
         assert classify_join(
-            tp_positions(tp("?a", "p", "?x")), tp_positions(tp("?b", "q", "?x")), {"x": 0}
-        )[0] == "OO"
-        assert classify_join(a, tp_positions(tp("?s", "?x", "?o")), {"x": 0})[0] == "SP"
-        assert classify_join(
-            tp_positions(tp("?a", "p", "?x")), tp_positions(tp("?s", "?x", "?o")), {"x": 0}
+            {"a": "S", "x": "O"}, {"s": "S", "x": "P", "o": "O"}, {"x": 0}
         )[0] == "OP"
         assert classify_join(
-            tp_positions(tp("?a", "?x", "?b")), tp_positions(tp("?c", "?x", "?d")), {"x": 0}
+            {"a": "S", "x": "P", "b": "O"}, {"c": "S", "x": "P", "d": "O"}, {"x": 0}
         )[0] == "PP"
-        assert classify_join(a, tp_positions(tp("?q", "r", "?w")), {})[0] == "NONE"
+        assert classify_join(a, {"q": "S", "w": "O"}, {})[0] == "NONE"
 
     def test_first_shared_variable_by_query_order(self):
-        left = tp_positions(tp("?a", "p", "?b"))
-        right = tp_positions(tp("?a", "q", "?b"))
+        left = {"a": "S", "b": "O"}  # ?a p ?b
+        right = {"a": "S", "b": "O"}  # ?a q ?b
         # both shared; the variable earlier in query order classifies
         kind, var = classify_join(left, right, {"a": 0, "b": 1})
         assert (kind, var) == ("SS", "a")

@@ -13,6 +13,8 @@ from rosie.frontend import (
     pretty_print,
     variable_correlations,
 )
+from rosie.runtime import Policy, run
+from rosie.store import lexical_form, load_ntriples
 
 from conftest import QE_TEXT
 
@@ -199,6 +201,57 @@ class TestRejections:
             parse_query("SELECT ?x WHERE { ?x ex:p ?y . }")
 
 
+# every escape both parsers accept, with the character it stands for
+ESCAPES = [
+    ("\\t", "\t"), ("\\b", "\b"), ("\\n", "\n"), ("\\r", "\r"), ("\\f", "\f"),
+    ('\\"', '"'), ("\\'", "'"), ("\\\\", "\\"),
+    ("\\u00e9", "\u00e9"), ("\\U0001F600", "\U0001F600"),
+]
+
+
+class TestStringEscapes:
+    """SPARQL strings decode their escapes as N-Triples literals do."""
+
+    @pytest.mark.parametrize("escape,char", ESCAPES)
+    def test_both_parsers_agree(self, escape, char):
+        d = load_ntriples(f'<s> <p> "a{escape}c" .\n')
+        (stored,) = [t for t in d.dict.terms() if t.startswith('"')]
+        term = parse_query(f'SELECT ?s WHERE {{ ?s <p> "a{escape}c" . }}').patterns[0].o.value
+        assert term == stored
+        assert d.dict.decode(d.dict.lookup(term)) == stored
+        assert lexical_form(term) == f"a{char}c"
+
+    def test_backspace_escape_finds_the_triple(self):
+        d = load_ntriples('<s> <p> "a\\bc" .\n')
+        q = parse_query('SELECT ?s WHERE { ?s <p> "a\\bc" . }')
+        for kind in ("static", "eager", "rosie"):
+            rel, _ = run(q, d, Policy(kind))
+            assert [[d.dict.decode(t) for t in row] for row in rel.rows] == [["s"]]
+
+    @pytest.mark.parametrize(
+        "literal,offset,reason",
+        [
+            ('"\\uZZZZ"', 1, "bad unicode escape"),
+            ('"ab\\u12"', 3, "bad unicode escape"),
+            ('"\\U00110000"', 1, "bad unicode escape"),
+            ('"\\uD800"', 1, "surrogate code point \\uD800"),
+            ('"x\\U0000DFFF"', 2, "surrogate code point \\U0000DFFF"),
+            ('"a\\qb"', 2, "unknown escape \\q"),
+        ],
+    )
+    def test_malformed_escape_is_a_syntax_error(self, literal, offset, reason):
+        head = "SELECT ?s WHERE { ?s <p> "
+        for text in (
+            head + literal + " . }",
+            "SELECT ?s WHERE { ?s <p> ?o . FILTER(?o = " + literal + ") }",
+            "SELECT ?s WHERE { ?s <p> ?o . FILTER regex(str(?o), " + literal + ") }",
+        ):
+            with pytest.raises(QuerySyntaxError) as err:
+                parse_query(text)
+            assert err.value.pos == text.index(literal) + offset
+            assert reason in err.value.expected
+
+
 class TestCorrelations:
     def test_example_p1_occurrences(self):
         q = parse_query(QE_TEXT)
@@ -227,6 +280,8 @@ ROUND_TRIP_QUERIES = [
     "SELECT * WHERE { ?a <p> ?b . OPTIONAL { ?b <q> ?c . } ?a <r> ?d . }",
     "SELECT * WHERE { { ?a <p> ?b . FILTER(?b != 3) } { ?a <q> ?c . } UNION { ?a <r> ?c . } }",
     'SELECT * WHERE { ?s <label> ?v . FILTER regex(str(?v), "a.c", "i") }',
+    'SELECT * WHERE { ?s <label> ?v . FILTER regex(str(?v), "a\\\\.c\\t\\"") }',
+    'SELECT * WHERE { ?s <label> ?v . FILTER(?v != "x\\\\y\\n\\u00e9") }',
     "SELECT * WHERE { ?a <p> ?b . FILTER(?b >= 2 && ?b < 9) OPTIONAL { ?a <o> ?z . } }",
 ]
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from rosie.errors import InvalidCollapse
+from rosie.estimator import CardinalityInterval, estimate_tp, tp_bounds
 from rosie.frontend import AND, OPT, parse_query
 from rosie.qrg import (
     build_qrg,
@@ -12,6 +13,7 @@ from rosie.qrg import (
 )
 
 from conftest import make_stats, op_by_label
+from genqueries import random_dataset, random_query_text
 
 
 def simple_qrg(text, size=1000, p_counts=None, o_counts=None):
@@ -91,6 +93,36 @@ class TestRegions:
         assert region_of(qe_qrg, by_label["And2"].id).is_exchangeable(qe_qrg)
         assert region_of(qe_qrg, by_label["Or1"].id).is_exchangeable(qe_qrg)
         assert not region_of(qe_qrg, by_label["Opt1"].id).is_exchangeable(qe_qrg)
+
+
+class TestVertexMemo:
+    def test_vertices_carry_pattern_bounds_and_estimates(self, qe_query, qe_stats):
+        stats, dictionary = qe_stats
+        cases = [(qe_query, stats, dictionary)]
+        rng = random.Random(515)
+        for _ in range(60):
+            d = random_dataset(rng, 300)
+            cases.append((parse_query(random_query_text(rng)), d.stats, d.dict))
+        for q, st, dic in cases:
+            g = build_qrg(q, st, dic)
+            for tp_ in q.patterns:
+                v = g.leaves[tp_.id]
+                assert v.interval == tp_bounds(tp_, st, dic)
+                assert v.weight == estimate_tp(tp_, st, dic)
+                assert g.by_label[tp_.label] is v
+
+    def test_collapse_gives_a_point_and_keeps_live_intervals(self, qe_qrg):
+        g2 = collapse_materialized(qe_qrg, {5, 4}, rel_id=1, exact_card=2)
+        synth = g2.by_label["R1"]
+        assert synth.is_materialized
+        assert synth.interval == CardinalityInterval.point(2.0)
+        for lid in set(qe_qrg.leaves) - {4, 5}:
+            assert g2.leaves[lid].interval == qe_qrg.leaves[lid].interval
+            assert g2.leaves[lid].weight == qe_qrg.leaves[lid].weight
+        # a second collapse absorbs the first synthetic vertex
+        g3 = collapse_materialized(g2, {synth.id, 6}, rel_id=2, exact_card=0)
+        assert "R1" not in g3.by_label
+        assert g3.by_label["R2"].interval.is_empty
 
 
 class TestCollapse:

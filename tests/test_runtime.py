@@ -15,7 +15,7 @@ from rosie.datagen import (
 )
 from rosie.errors import QueryTimeout
 from rosie.estimator import CardinalityInterval
-from rosie.frontend import parse_query
+from rosie.frontend import AND, OPT, Leaf, Modifiers, OpNode, Query, parse_query
 from rosie.runtime import (
     Policy,
     StepState,
@@ -26,11 +26,15 @@ from rosie.runtime import (
 )
 from rosie import runtime
 from rosie.planner import RelationLeaf
+from rosie.qrg import build_qrg, collapse_materialized
 from rosie.runtime import profile_unit
-from rosie.store import Dataset, Relation, make_literal, register_intermediate
+from rosie.store import Dataset, load_ntriples, make_literal, register_intermediate
 
+from conftest import D_TOY_NT
 from genqueries import random_dataset, random_query_text
 from naive_eval import evaluate_query
+from test_store import tp
+from test_trace_golden import gen_workloads, named_workloads
 
 ALL_POLICIES = ("static", "eager", "rosie")
 
@@ -205,13 +209,16 @@ class TestTraces:
             assert (s.actual is not None) == (s.decision == "materialize")
 
     def test_materialized_leaf_estimates_are_exact(self):
-        # a registered relation profiles as the point of its row count, and
-        # eager's trace shows each re-planned leaf R<id> at exactly that point
+        # a materialized relation profiles as the point of its row count
+        # through its synthetic vertex, and eager's trace shows each
+        # re-planned leaf R<id> at exactly that point
         d = correlated_star()
-        rid = register_intermediate(d, Relation(("x",), [(1,), (2,), (3,)]))
-        profile = profile_unit(RelationLeaf(rid), d, {})
-        assert profile.est == profile.interval.lo == profile.interval.hi == 3.0
         q = parse_query(CORRELATED_STAR_QUERY)
+        g = collapse_materialized(
+            build_qrg(q, d.stats, d.dict), {1}, rel_id=7, exact_card=3
+        )
+        profile = profile_unit(RelationLeaf(7), g, {})
+        assert profile.est == profile.interval.lo == profile.interval.hi == 3.0
         _, trace = run(q, d, Policy("eager"))
         leaves = 0
         for prev, s in zip(trace.steps, trace.steps[1:]):
@@ -259,6 +266,77 @@ class TestTraces:
         path = tmp_path / "trace.json"
         emit_trace(trace, str(path))
         assert json.loads(path.read_text())["policy"] == "rosie"
+
+
+class TestGraphMemo:
+    """The decision code reads every leaf's numbers off the query graph."""
+
+    def test_estimate_is_zero_exactly_when_interval_is_empty(self, monkeypatch):
+        checked = Counter()
+        real_profile, real_extend = runtime.profile_unit, runtime.extend_state
+
+        def check(iv, est):
+            assert (est == 0.0) == iv.is_empty, (iv, est)
+            checked[iv.is_empty] += 1
+
+        def profile(unit, g, var_order):
+            out = real_profile(unit, g, var_order)
+            check(out.interval, out.est)
+            return out
+
+        def extend(state, prof, op):
+            iv, est = real_extend(state, prof, op)
+            check(iv, est)
+            return iv, est
+
+        monkeypatch.setattr(runtime, "profile_unit", profile)
+        monkeypatch.setattr(runtime, "extend_state", extend)
+        for _, d, text in [*named_workloads(), *gen_workloads()]:
+            q = parse_query(text)
+            for kind in ALL_POLICIES:
+                run(q, d, Policy(kind, tau=2.0))
+        # both sides of the equivalence were exercised
+        assert checked[True] > 0 and checked[False] > 0
+
+    @staticmethod
+    def and_query(patterns, optional=None):
+        tree = Leaf(patterns[0])
+        for pattern in patterns[1:]:
+            tree = OpNode(AND, tree, Leaf(pattern))
+        operators = {AND} if len(patterns) > 1 else set()
+        if optional is not None:
+            tree = OpNode(OPT, tree, Leaf(optional))
+            operators.add(OPT)
+            patterns = [*patterns, optional]
+        names = []
+        for pattern in patterns:
+            names += [n for _, n in pattern.variables() if n not in names]
+        return Query(patterns, operators, tree, names, Modifiers(), [])
+
+    def test_fully_bound_pattern_matches_the_oracle(self):
+        # the parser rejects a fully bound pattern; a hand-built query gets
+        # the interval [0, 1] for it, whether the triple is there or not,
+        # and the empty interval when the data lacks one of its terms
+        d = load_ntriples(D_TOY_NT)
+        x_post = tp("?x", "type", "Post", 1)
+        for triple, expected_iv in (
+            (("u1", "creator_of", "p1"), CardinalityInterval(0.0, 1.0)),
+            (("p1", "type", "User"), CardinalityInterval(0.0, 1.0)),
+            (("u1", "creator_of", "p9"), CardinalityInterval(0.0, 0.0)),
+        ):
+            bound = tp(*triple, 2)
+            for q in (
+                self.and_query([x_post, bound]),
+                self.and_query([bound, tp("?y", "knows", "?z", 1)]),
+                self.and_query([x_post], optional=bound),
+            ):
+                g = build_qrg(q, d.stats, d.dict)
+                assert g.leaves[2].interval == expected_iv
+                expected = evaluate_query(q, d)
+                for kind in ALL_POLICIES:
+                    for tau in (1.0, 8.0):
+                        rel, _ = run(q, d, Policy(kind, tau=tau, sigma=1.0))
+                        assert bag(rel) == expected, (kind, tau, triple)
 
 
 class TestConcurrentQueries:

@@ -95,6 +95,15 @@ class TestLoad:
         assert err.value.line_no == 2
         assert "surrogate" in err.value.reason
 
+    @pytest.mark.parametrize("line", ['<s> <p> "\ud800" .', "<s\udc00> <p> <o> .",
+                                      '<s> <p> "ok" . # \udfff'])
+    def test_raw_surrogate_in_a_str_source_is_a_parse_error(self, line):
+        # a str source skips the UTF-8 decode that rejects one in bytes
+        with pytest.raises(ParseError) as err:
+            load_ntriples(f'<a> <b> "\u00e9" .\n{line}\n')
+        assert err.value.line_no == 2
+        assert "surrogate" in err.value.reason
+
     @pytest.mark.parametrize("escape", ["\\u+041", "\\u0_41", "\\u 041", "\\U-0000041"])
     def test_non_hex_unicode_escape_is_a_parse_error(self, escape):
         # int(..., 16) alone would take a sign, an underscore or a space
