@@ -2,9 +2,13 @@
 
 Terms are interned into dense integer ids in first-seen order. Triples are
 kept in three sorted permutations (SPO, POS, OSP) so that every pattern with
-one or two bound positions scans a contiguous range. Statistics are exact
-per-value counts: for each term the number of triples where it appears as
-subject, predicate, or object.
+one or two bound positions scans a contiguous range. Each permutation is
+three columns of unsigned 32-bit ids, one `array` per position: a range is
+found by bisecting one column after the other, and a scan zips the slices
+of its variable columns. POS and OSP are derived from SPO by a stable sort
+of row indices, so a snapshot, which stores SPO alone, reopens without
+sorting any tuples. Statistics are exact per-value counts: for each term
+the number of triples where it appears as subject, predicate, or object.
 
 A dataset is immutable after load; the only mutation is registering
 intermediate relations produced while executing a single query, which the
@@ -19,12 +23,12 @@ import struct
 import sys
 import threading
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, islice
-from operator import itemgetter, lt
-from typing import BinaryIO, Iterable, Iterator, NamedTuple, Optional
+from itertools import compress, islice
+from operator import eq, itemgetter, lt
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import EscapeError, ParseError, SnapshotFormatError
 
@@ -45,6 +49,8 @@ _U32_ARRAY = next(code for code in "IL" if array(code).itemsize == 4)
 _ESCAPES = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
 _HEX = re.compile("[0-9A-Fa-f]+")
 _REV_ESCAPES = {"\t": "\\t", "\n": "\\n", "\r": "\\r", '"': '\\"', "\\": "\\\\"}
+# a literal's body: up to its closing quote, or to a dangling backslash
+_LITERAL_BODY = re.compile(r'(?:[^"\\]|\\.)*\\?', re.DOTALL)
 
 
 def unescape(body: str) -> str:
@@ -98,23 +104,19 @@ def make_literal(lexical: str, lang: str = "", datatype: str = "") -> str:
 
 
 def lexical_form(term: str) -> str:
-    """The comparison string of a term: literal content or the IRI itself."""
+    """The comparison string of a term: literal content or the IRI itself.
+
+    A literal body that `unescape` rejects compares as its raw text; only a
+    snapshot written by hand can hold one, since every parser stores the
+    canonical form.
+    """
     if not term.startswith('"'):
         return term
-    # find the closing quote, honouring backslash escapes
-    out = []
-    i = 1
-    while i < len(term):
-        c = term[i]
-        if c == "\\" and i + 1 < len(term):
-            out.append(_ESCAPES.get(term[i + 1], term[i + 1]))
-            i += 2
-            continue
-        if c == '"':
-            break
-        out.append(c)
-        i += 1
-    return "".join(out)
+    body = _LITERAL_BODY.match(term, 1).group()
+    try:
+        return unescape(body)
+    except EscapeError:
+        return body
 
 
 class Triple(NamedTuple):
@@ -187,22 +189,25 @@ class Relation:
         return len(self.rows)
 
 
+# one permutation: its three id columns, each an array of _U32_ARRAY
+Columns = tuple[array, array, array]
+
+
 class Dataset:
     """Immutable triple set plus dictionary, stats and query intermediates."""
 
-    def __init__(self, dictionary: TermDictionary, spo: list[tuple]):
-        """`spo` holds each (s, p, o) id triple once, in ascending order; it
-        becomes the SPO index as it is."""
+    def __init__(self, dictionary: TermDictionary, spo: Columns):
+        """`spo` holds the S, P and O columns of each (s, p, o) id triple,
+        once and in ascending order; it becomes the SPO index as it is."""
         self.dict = dictionary
-        self.spo: list[tuple] = spo
-        self.pos: list[tuple] = sorted(map(itemgetter(1, 2, 0), spo))
-        self.osp: list[tuple] = sorted(map(itemgetter(2, 0, 1), spo))
-        self.stats = Stats(
-            size=len(spo),
-            s_hist=Counter(map(itemgetter(0), spo)),
-            p_hist=Counter(map(itemgetter(1), spo)),
-            o_hist=Counter(map(itemgetter(2), spo)),
-        )
+        self.spo: Columns = spo
+        s, p, o = spo
+        # a stable sort keeps the SPO order within ties: s within (p, o),
+        # and (s, p) within o
+        width = len(dictionary)
+        self.pos: Columns = _gather((p, o, s), [pi * width + oi for pi, oi in zip(p, o)])
+        self.osp: Columns = _gather((o, s, p), o)
+        self.stats = Stats(size=len(s), s_hist=Counter(s), p_hist=Counter(p), o_hist=Counter(o))
         self.intermediates: dict[RelationId, Relation] = {}
         self._next_relation_id = 1
         self._registration_lock = threading.Lock()
@@ -218,26 +223,40 @@ class Dataset:
             (intern(s, len(ids)), intern(p, len(ids)), intern(o, len(ids)))
             for s, p, o in triples
         }
-        return cls(TermDictionary(ids), sorted(enc))
+        spo = _columns(sorted(enc))
+        del enc  # not alive while POS and OSP are built
+        return cls(TermDictionary(ids), spo)
 
     @property
     def size(self) -> int:
         return self.stats.size
 
-    def triples(self) -> Iterable[Triple]:
-        for s, p, o in self.spo:
-            yield Triple(s, p, o)
+    def triples(self) -> Iterator[Triple]:
+        return map(Triple, *self.spo)
 
-    def has_triple(self, s: TermId, p: TermId, o: TermId) -> bool:
-        i = bisect_left(self.spo, (s, p, o))
-        return i < len(self.spo) and self.spo[i] == (s, p, o)
 
-    # -- scans ---------------------------------------------------------------
+def _columns(triples: list[tuple]) -> Columns:
+    """The three id columns of a list of triples."""
+    return tuple(array(_U32_ARRAY, map(itemgetter(k), triples)) for k in range(3))
 
-    def _range(self, index: list[tuple], prefix: tuple) -> list[tuple]:
-        lo = bisect_left(index, prefix)
-        hi = bisect_left(index, prefix[:-1] + (prefix[-1] + 1,))
-        return index[lo:hi]
+
+def _gather(cols: Columns, key: Sequence[int]) -> Columns:
+    """`cols` reordered by a stable sort of their rows on `key`."""
+    order = sorted(range(len(key)), key=key.__getitem__)
+    if len(order) < 2:
+        # itemgetter of fewer than two items returns no tuple
+        return tuple(array(_U32_ARRAY, [col[i] for i in order]) for col in cols)
+    gather = itemgetter(*order)
+    return tuple(array(_U32_ARRAY, gather(col)) for col in cols)
+
+
+def _range(cols: Columns, prefix: tuple) -> tuple[int, int]:
+    """The rows [lo, hi) of an index whose leading columns equal `prefix`."""
+    lo, hi = 0, len(cols[0])
+    for col, value in zip(cols, prefix):
+        lo = bisect_left(col, value, lo, hi)
+        hi = bisect_right(col, value, lo, hi)
+    return lo, hi
 
 
 def load_ntriples(source) -> Dataset:
@@ -306,10 +325,6 @@ def _parse_ntriples_line(line: str, line_no: int) -> tuple[str, str, str]:
     return (s_blank if s_iri is None else s_iri), p, (o_other if o_iri is None else o_iri)
 
 
-# a literal's body: up to its closing quote, or to a dangling backslash
-_LITERAL_BODY = re.compile(r'(?:[^"\\]|\\.)*\\?', re.DOTALL)
-
-
 def _parse_ntriples_chars(line: str, line_no: int) -> tuple[str, str, str]:
     pos = 0
     terms = []
@@ -375,7 +390,7 @@ def _parse_term(line: str, pos: int, line_no: int, which: str) -> tuple[str, int
     raise ParseError(line_no, f"unexpected character {c!r} in {which}")
 
 
-# For each index: where the S, P and O of a triple sit in its entries.
+# For each index: the column that holds the S, P and O of a triple.
 _SPO_AT = (0, 1, 2)
 _POS_AT = (2, 0, 1)
 _OSP_AT = (1, 2, 0)
@@ -400,46 +415,41 @@ def scan(d: Dataset, tp) -> Relation:
                 return Relation(schema, [])
             bound.append(tid)
 
+    # the index whose leading columns are the bound positions
     s, p, o = bound
-    at = _SPO_AT
-    if s is not None and p is not None and o is not None:
-        matches: list[tuple] = [(s, p, o)] if d.has_triple(s, p, o) else []
-    elif s is not None and p is not None:
-        matches = d._range(d.spo, (s, p))
+    if s is not None and p is not None:
+        cols, at, prefix = d.spo, _SPO_AT, ((s, p) if o is None else (s, p, o))
     elif s is not None and o is not None:
-        matches, at = d._range(d.osp, (o, s)), _OSP_AT
+        cols, at, prefix = d.osp, _OSP_AT, (o, s)
     elif p is not None and o is not None:
-        matches, at = d._range(d.pos, (p, o)), _POS_AT
+        cols, at, prefix = d.pos, _POS_AT, (p, o)
     elif s is not None:
-        matches = d._range(d.spo, (s,))
+        cols, at, prefix = d.spo, _SPO_AT, (s,)
     elif p is not None:
-        matches, at = d._range(d.pos, (p,)), _POS_AT
+        cols, at, prefix = d.pos, _POS_AT, (p,)
     elif o is not None:
-        matches, at = d._range(d.osp, (o,)), _OSP_AT
+        cols, at, prefix = d.osp, _OSP_AT, (o,)
     else:
-        matches = d.spo
+        cols, at, prefix = d.spo, _SPO_AT, ()
+    lo, hi = _range(cols, prefix)
 
-    # the entry column of each variable's first occurrence, and the column
+    # the position of each variable's first occurrence, and the position
     # pairs a repeated variable forces equal
     first: dict[str, int] = {}
     equal: list[tuple[int, int]] = []
-    for atom, col in zip(atoms, at):
+    for pos, atom in enumerate(atoms):
         if atom.is_var():
             if atom.name in first:
-                equal.append((first[atom.name], col))
+                equal.append((first[atom.name], pos))
             else:
-                first[atom.name] = col
+                first[atom.name] = pos
+    if not first:
+        return Relation(schema, [()] * (hi - lo))
+    rows = zip(*[cols[at[pos]][lo:hi] for pos in first.values()])
     if equal:
-        matches = [t for t in matches if all(t[a] == t[b] for a, b in equal)]
-    cols = tuple(first.values())
-    if len(cols) > 1:
-        rows = list(map(itemgetter(*cols), matches))
-    elif cols:
-        (col,) = cols
-        rows = [(t[col],) for t in matches]
-    else:
-        rows = [()] * len(matches)
-    return Relation(schema, rows)
+        agree = [map(eq, cols[at[a]][lo:hi], cols[at[b]][lo:hi]) for a, b in equal]
+        rows = compress(rows, map(all, zip(*agree)))
+    return Relation(schema, list(rows))
 
 
 def pattern_schema(tp) -> tuple[str, ...]:
@@ -476,17 +486,20 @@ def snapshot_save(d: Dataset, sink: BinaryIO) -> None:
     """Write a snapshot: magic, dictionary strings, fixed-width triples.
 
     Every integer is a little-endian u32: the term count, then each term's
-    UTF-8 length and bytes in id order, the triple count, then the SPO index
-    as (s, p, o) ids, so the triples are written in ascending order.
+    UTF-8 length and bytes in id order, the triple count, then the SPO
+    columns interleaved as (s, p, o) ids, so the triples are written in
+    ascending order.
     """
     head = bytearray(SNAPSHOT_MAGIC)
     head += _U32.pack(len(d.dict))
     for blob in map(str.encode, d.dict.terms()):
         head += _U32.pack(len(blob))
         head += blob
-    head += _U32.pack(len(d.spo))
+    head += _U32.pack(d.size)
     sink.write(head)
-    ids = array(_U32_ARRAY, chain.from_iterable(d.spo))
+    ids = array(_U32_ARRAY, bytes(12 * d.size))
+    for k, col in enumerate(d.spo):
+        ids[k::3] = col
     if sys.byteorder == "big":
         ids.byteswap()
     sink.write(ids)
@@ -496,8 +509,8 @@ def snapshot_load(source: BinaryIO) -> Dataset:
     """Read a snapshot `snapshot_save` wrote; SnapshotFormatError otherwise.
 
     A triple section in ascending order without repeats, as `snapshot_save`
-    writes it, becomes the SPO index as it is; any other is sorted and
-    deduplicated.
+    writes it, becomes the SPO columns as it is, with no tuple built to
+    keep; only any other order is sorted and deduplicated as tuples.
     """
     data = source.read()
     off = len(SNAPSHOT_MAGIC)
@@ -536,8 +549,8 @@ def snapshot_load(source: BinaryIO) -> Dataset:
         flat.byteswap()
     if flat and max(flat) >= term_count:
         raise SnapshotFormatError("triple id out of dictionary range")
-    it = iter(flat)
-    spo = list(zip(it, it, it))
-    if not all(map(lt, spo, islice(spo, 1, None))):
-        spo = sorted(set(spo))
+    spo = (flat[0::3], flat[1::3], flat[2::3])
+    del flat
+    if not all(map(lt, zip(*spo), islice(zip(*spo), 1, None))):
+        spo = _columns(sorted(set(zip(*spo))))
     return Dataset(TermDictionary(ids), spo)
