@@ -1,16 +1,23 @@
-"""Physical plan compilation and bag-semantics evaluation.
+"""Physical plan compilation and bag-semantics evaluation over id columns.
 
 A candidate sequence maps directly onto physical operators: joins for And,
 a padded-schema union for Or, a left outer join for Opt, row filters for
-constraints. Rows are tuples over an ordered variable schema with None for
-unbound cells; join matching follows solution-mapping compatibility, so an
-unbound shared variable matches anything and adopts the other side's value.
+constraints. Every operator takes and returns a `Relation` of columns, one
+sequence of term ids per schema variable plus a row count, with None for
+an unbound cell. Join matching follows solution-mapping compatibility, so
+an unbound shared variable matches anything and adopts the other side's
+value.
 
-Each operator works out its column positions once per evaluation (key and
-merge `itemgetter`s, pad layouts, compiled filter tests) and then runs a
-tight loop over its rows. Joins whose keys are bound on both sides take a
-hash path with no per-row branching; only rows with an unbound key cell
-go through the pairwise compatibility check.
+A scan's columns are slices of the store's permutation arrays. A join
+matches each probe row to a list of build-row indices and gathers each
+output column once over the probe-index or build-index list. Filter and
+slice cut every column alike; distinct and sort gather them by row
+index. Row tuples are built only by `execute`, for the result;
+`evaluate`, which materializes partial results, builds none.
+
+Row order is deterministic and the same under every policy; the README's
+"Executor" section states the rule as a contract, and the pinned tests in
+tests/test_kernels.py hold the executor to it.
 """
 
 from __future__ import annotations
@@ -18,8 +25,9 @@ from __future__ import annotations
 import logging
 import re
 import time
+from array import array
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress, repeat
 from operator import eq, ge, gt, itemgetter, le, lt, ne
 from typing import Callable, Optional, Union
 
@@ -179,88 +187,106 @@ class _Budget:
                 raise QueryTimeout(self.budget_ms)
 
 
+def evaluate(
+    plan: PhysicalPlan,
+    d: Dataset,
+    deadline: Optional[float] = None,
+    budget_ms: Optional[float] = None,
+) -> Relation:
+    """Evaluate a plan to a relation of columns; no row tuple is built.
+
+    The relation is a bag; its row order is deterministic (see the module
+    docstring). A materialized intermediate is evaluated this way.
+    """
+    return _eval(plan, d, _Budget(deadline, budget_ms))
+
+
 def execute(
     plan: PhysicalPlan,
     d: Dataset,
     deadline: Optional[float] = None,
     budget_ms: Optional[float] = None,
 ) -> Relation:
-    """Evaluate a plan to a relation (a bag; row order is deterministic)."""
-    budget = _Budget(deadline, budget_ms)
-    rows = _eval(plan, d, budget)
-    return Relation(plan.schema, rows)
+    """Evaluate a plan and build the row tuples of its result, once."""
+    rel = evaluate(plan, d, deadline, budget_ms)
+    return Relation(rel.schema, rel.columns, rel.size, rel.rows)
 
 
-def _eval(plan: PhysicalPlan, d: Dataset, budget: _Budget) -> list[tuple]:
+def _eval(plan: PhysicalPlan, d: Dataset, budget: _Budget) -> Relation:
     if isinstance(plan, Scan):
         budget.check(_TIMEOUT_CHECK_EVERY)
-        return scan(d, plan.tp).rows
+        return scan(d, plan.tp)
     if isinstance(plan, FetchIntermediate):
         rel = d.intermediates.get(plan.rel_id)
         if rel is None:
             raise UnresolvedLeaf(f"intermediate R{plan.rel_id} is not registered")
-        return rel.rows
+        return rel
     if isinstance(plan, (HashJoin, LeftOuterJoin)):
-        left_rows = _eval(plan.left, d, budget)
-        right_rows = _eval(plan.right, d, budget)
-        return _join(
-            left_rows, plan.left.schema, right_rows, plan.right.schema,
-            plan.shared, plan.schema, isinstance(plan, LeftOuterJoin), budget,
-        )
+        left = _eval(plan.left, d, budget)
+        right = _eval(plan.right, d, budget)
+        return _join(left, right, plan.shared, plan.schema, isinstance(plan, LeftOuterJoin), budget)
     if isinstance(plan, UnionOp):
-        left_rows = _eval(plan.left, d, budget)
-        right_rows = _eval(plan.right, d, budget)
-        out = _relayout(left_rows, plan.left.schema, plan.schema)
-        out += _relayout(right_rows, plan.right.schema, plan.schema)
-        return out
+        left = _eval(plan.left, d, budget)
+        right = _eval(plan.right, d, budget)
+        columns = [
+            list(chain(_column(left, v), _column(right, v))) for v in plan.schema
+        ]
+        return Relation(plan.schema, columns, left.size + right.size)
     if isinstance(plan, FilterOp):
-        rows = _eval(plan.child, d, budget)
-        budget.check(len(rows))
-        return _filter_rows(rows, plan.child.schema, plan.constraint, d)
+        rel = _eval(plan.child, d, budget)
+        budget.check(rel.size)
+        return _filter(rel, plan.constraint, d)
     if isinstance(plan, Project):
-        return _relayout(_eval(plan.child, d, budget), plan.child.schema, plan.schema)
+        rel = _eval(plan.child, d, budget)
+        return Relation(plan.schema, [_column(rel, v) for v in plan.schema], rel.size)
     if isinstance(plan, Distinct):
-        return list(dict.fromkeys(_eval(plan.child, d, budget)))
+        rel = _eval(plan.child, d, budget)
+        if not rel.columns:
+            return Relation(plan.schema, [], min(rel.size, 1))
+        cells = rel.columns[0] if len(rel.columns) == 1 else list(zip(*rel.columns))
+        # walked backwards, each distinct row keeps its first index
+        first = dict(zip(reversed(cells), range(rel.size - 1, -1, -1)))
+        return _take(rel, sorted(first.values()))
     if isinstance(plan, Sort):
-        child_rows = _eval(plan.child, d, budget)
-        schema = plan.child.schema
-        rows = list(child_rows)
+        rel = _eval(plan.child, d, budget)
+        order = list(range(rel.size))
         keys: dict = {}  # term id -> sort key, shared by every key pass
         for var, ascending in reversed(plan.keys):
-            col = schema.index(var)
-            for tid in {row[col] for row in rows}.difference(keys):
+            col = rel.columns[rel.schema.index(var)]
+            for tid in set(col).difference(keys):
                 keys[tid] = _sort_key(tid, d)
-            rows.sort(key=lambda r: keys[r[col]], reverse=not ascending)
-        return rows
+            # a stable sort of row indices, as of the rows themselves
+            row_keys = list(map(keys.__getitem__, col))
+            order.sort(key=row_keys.__getitem__, reverse=not ascending)
+        return _take(rel, order)
     if isinstance(plan, Slice):
-        child_rows = _eval(plan.child, d, budget)
+        rel = _eval(plan.child, d, budget)
         start = plan.offset or 0
         end = None if plan.limit is None else start + plan.limit
-        return child_rows[start:end]
+        size = len(range(rel.size)[start:end])
+        return Relation(plan.schema, [col[start:end] for col in rel.columns], size)
     raise TypeError(f"unknown plan node {plan!r}")
 
 
-def _tuple_getter(idx: list[int]):
-    """A callable picking `idx` from a sequence, always as a tuple."""
+def _column(rel: Relation, var: str):
+    """The cells of `var` in `rel`, all unbound when `rel` lacks it."""
+    if var in rel.schema:
+        return rel.columns[rel.schema.index(var)]
+    return [None] * rel.size
+
+
+def _gather(columns, idx: list[int]) -> list:
+    """Each column's cells at the row indices `idx`, in that order."""
     if len(idx) > 1:
-        return itemgetter(*idx)
-    if idx:
-        (i,) = idx
-        return lambda row: (row[i],)
-    return lambda row: ()
+        pick = itemgetter(*idx)
+        return [pick(col) for col in columns]
+    # itemgetter of fewer than two items returns no tuple
+    return [[col[i] for i in idx] for col in columns]
 
 
-def _relayout(
-    rows: list[tuple], schema: tuple[str, ...], out_schema: tuple[str, ...]
-) -> list[tuple]:
-    """A new list of the rows laid out over `out_schema`; a variable that
-    `schema` lacks is unbound."""
-    # a missing variable points one past the row, at a None appended to it
-    idx = [schema.index(v) if v in schema else len(schema) for v in out_schema]
-    pick = _tuple_getter(idx)
-    if len(schema) in idx:
-        return [pick(row + (None,)) for row in rows]
-    return list(map(pick, rows))
+def _take(rel: Relation, idx: list[int]) -> Relation:
+    """The rows of `rel` at `idx`, in that order."""
+    return Relation(rel.schema, _gather(rel.columns, idx), len(idx))
 
 
 def _sort_key(cell, d: Dataset):
@@ -268,112 +294,125 @@ def _sort_key(cell, d: Dataset):
     if cell is None:
         return (0, 0.0, "")
     lexical = lexical_form(d.dict.decode(cell))
-    try:
-        return (1, float(lexical), lexical)
-    except ValueError:
+    number = numeric_value(lexical)
+    if number is None:
         return (2, 0.0, lexical)
+    return (1, number, lexical)
 
 
 def _join(
-    left_rows: list[tuple],
-    left_schema: tuple[str, ...],
-    right_rows: list[tuple],
-    right_schema: tuple[str, ...],
+    left: Relation,
+    right: Relation,
     shared: tuple[str, ...],
-    out_schema: tuple[str, ...],
+    schema: tuple[str, ...],
     outer: bool,
     budget: _Budget,
-) -> list[tuple]:
-    """Compatibility join. Rows whose shared variables are all bound go
-    through a hash table; rows with unbound shared cells ("wild" rows) are
-    compared pairwise (they are compatible with anything at those
-    positions). Output follows the probe (left) rows, each one's matches in
-    right-row order, bucket matches before wild ones."""
-    if not outer and shared and len(left_rows) <= len(right_rows):
-        # smaller (or tied) side builds the hash table
-        left_rows, right_rows = right_rows, left_rows
-        left_schema, right_schema = right_schema, left_schema
-
-    # compiled once: the merged row of `lrow + rrow`, shared cells taken
-    # from the left, which is exact whenever the left key is bound; an
-    # all-unbound right row turns it into the outer join's padded row
-    n_left = len(left_schema)
-    merged = _tuple_getter([
-        left_schema.index(v) if v in left_schema else n_left + right_schema.index(v)
-        for v in out_schema
-    ])
-    unmatched = ((None,) * len(right_schema),) if outer else ()
-    out: list[tuple] = []
-
-    if not shared:
-        matches = right_rows or unmatched
-        for lrow in left_rows:
-            budget.check(max(1, len(right_rows)))
-            out += [merged(lrow + rrow) for rrow in matches]
-        return out
-
-    left_idx = [left_schema.index(v) for v in shared]
-    right_idx = [right_schema.index(v) for v in shared]
-    # one shared variable: the key is the cell itself, else a tuple
-    left_keys = list(map(itemgetter(*left_idx), left_rows))
-    right_keys = list(map(itemgetter(*right_idx), right_rows))
-    if len(shared) == 1:
-        left_wild, right_wild = None in left_keys, None in right_keys
+) -> Relation:
+    """Compatibility join of two relations, over columns: each probe row is
+    matched to a list of build-row indices, and every output column is one
+    gather over the probe-index or the build-index list."""
+    probe, build = left, right
+    if not outer and shared and left.size <= right.size:
+        probe, build = right, left
+    probe_keys, probe_unbound = _keys(probe, shared)
+    build_keys, build_unbound = _keys(build, shared)
+    if shared:
+        hits = _matches(probe_keys, build_keys, len(shared) == 1,
+                        bool(probe_unbound), bool(build_unbound), budget)
     else:
-        left_wild = any(map(_has_unbound, left_keys))
-        right_wild = any(map(_has_unbound, right_keys))
+        hits = [list(range(build.size))] * probe.size
 
+    # an unmatched row of an outer join takes the all-unbound build row
+    # appended at index build.size; an inner join drops it
+    build_columns = build.columns
+    if outer and not all(hits):
+        pad = [build.size]
+        hits = [h or pad for h in hits]
+        build_columns = [(*col, None) for col in build_columns]
+    matched = list(compress(range(len(hits)), hits))
+    hits = list(filter(None, hits))
+
+    # the index lists grow by about _TIMEOUT_CHECK_EVERY rows at a time,
+    # so a blow-up times out before they are built
+    widest = max(map(len, hits), default=1)
+    chunk = max(1, _TIMEOUT_CHECK_EVERY // widest)
+    probe_idx: list[int] = []
+    build_idx: list[int] = []
+    for start in range(0, len(hits), chunk):
+        budget.check(_TIMEOUT_CHECK_EVERY)
+        part = hits[start : start + chunk]
+        probe_idx += chain.from_iterable(
+            map(repeat, matched[start : start + chunk], map(len, part))
+        )
+        build_idx += chain.from_iterable(part)
+
+    probe_cols = dict(zip(probe.schema, _gather(probe.columns, probe_idx)))
+    build_cols = dict(zip(build.schema, _gather(build_columns, build_idx)))
+    columns = []
+    for v in schema:
+        if v not in probe_cols:
+            columns.append(build_cols[v])
+        elif v in probe_unbound:
+            # a key cell unbound on the probe side adopts the build value
+            columns.append([b if p is None else p for p, b in zip(probe_cols[v], build_cols[v])])
+        else:
+            columns.append(probe_cols[v])
+    return Relation(schema, columns, len(probe_idx))
+
+
+def _matches(
+    probe_keys, build_keys, single: bool, probe_wild: bool, build_wild: bool, budget: _Budget
+) -> list:
+    """For each probe key, the indices of the compatible build keys in build
+    order (bucket matches before wild ones), or a falsy value for none.
+
+    Keys whose cells are all bound meet through a hash table. A "wild" key,
+    with an unbound cell as UNION and OPTIONAL produce, is compatible with
+    anything at that cell, so it is compared pairwise.
+    """
     buckets: dict = {}
-    wild: list[tuple] = []
-    for key, rrow in zip(right_keys, right_rows):
-        if right_wild and _has_unbound(key):
-            wild.append(rrow)
-        elif key in buckets:
-            buckets[key].append(rrow)
-        else:
-            buckets[key] = [rrow]
-    get = buckets.get
+    for j, key in enumerate(build_keys):
+        buckets.setdefault(key, []).append(j)
+    wild: list[int] = []
+    if build_wild:
+        # the rows of every key with an unbound cell, in build order
+        wild = sorted(chain.from_iterable(
+            buckets.pop(key) for key in list(filter(_has_unbound, buckets))
+        ))
+    hits = list(map(buckets.get, probe_keys))
+    if not (probe_wild or wild):
+        return hits
 
-    if not (left_wild or right_wild):
-        # every key bound on both sides: a tight loop over probe chunks,
-        # each producing about _TIMEOUT_CHECK_EVERY rows at most; an inner
-        # join first drops the probe rows without a partner
-        if not outer:
-            found = list(map(buckets.__contains__, left_keys))
-            left_rows = list(compress(left_rows, found))
-            left_keys = list(compress(left_keys, found))
-        widest = max(map(len, buckets.values()), default=1)
-        chunk = max(1, _TIMEOUT_CHECK_EVERY // widest)
-        for start in range(0, len(left_rows), chunk):
-            budget.check(_TIMEOUT_CHECK_EVERY)
-            end = start + chunk
-            out += [
-                merged(lrow + rrow)
-                for lrow, key in zip(left_rows[start:end], left_keys[start:end])
-                for rrow in get(key, unmatched)
-            ]
-        return out
-
-    merge_plan = _merge_plan(left_schema, right_schema, out_schema)
-    for lrow, key in zip(left_rows, left_keys):
+    # an unbound single-variable key matches every build row, and a bound
+    # one every wild build row; tuple keys are compared cell by cell
+    every = list(range(len(build_keys)))
+    wild_keys = [(j, build_keys[j]) for j in wild]
+    for i, key in enumerate(probe_keys):
         if _has_unbound(key):
-            budget.check(1 + len(right_rows))
-            matches = [
-                _merge(lrow, rrow, merge_plan)
-                for rrow in right_rows
-                if _compatible(lrow, left_idx, rrow, right_idx)
+            budget.check(1 + len(build_keys))
+            hits[i] = every if single else [
+                j for j, other in enumerate(build_keys) if _compatible(key, other)
             ]
-        else:
-            bucket = get(key, ())
+        elif wild:
+            bucket = hits[i] or []
             budget.check(1 + len(bucket) + len(wild))
-            matches = [merged(lrow + rrow) for rrow in bucket]
-            matches += [
-                merged(lrow + rrow)
-                for rrow in wild
-                if _compatible(lrow, left_idx, rrow, right_idx)
-            ]
-        out += matches or [merged(lrow + pad) for pad in unmatched]
-    return out
+            hits[i] = bucket + (wild if single else [
+                j for j, other in wild_keys if _compatible(key, other)
+            ])
+    return hits
+
+
+def _keys(rel: Relation, shared: tuple[str, ...]) -> tuple:
+    """The join key of every row (the cell itself for one shared variable,
+    else a tuple of cells), and the shared variables unbound in some row."""
+    columns = [rel.columns[rel.schema.index(v)] for v in shared]
+    # a store column holds no unbound cell
+    unbound = {
+        v for v, col in zip(shared, columns) if not isinstance(col, array) and None in col
+    }
+    if len(columns) == 1:
+        return columns[0], unbound
+    return list(zip(*columns)), unbound
 
 
 def _has_unbound(key) -> bool:
@@ -381,38 +420,9 @@ def _has_unbound(key) -> bool:
     return key is None or (type(key) is tuple and None in key)
 
 
-def _compatible(lrow: tuple, left_idx: list[int], rrow: tuple, right_idx: list[int]) -> bool:
-    for li, ri in zip(left_idx, right_idx):
-        lv, rv = lrow[li], rrow[ri]
-        if lv is not None and rv is not None and lv != rv:
-            return False
-    return True
-
-
-def _merge_plan(
-    left_schema: tuple[str, ...],
-    right_schema: tuple[str, ...],
-    out_schema: tuple[str, ...],
-) -> list[tuple[Optional[int], Optional[int]]]:
-    """For each output variable, its left and right column (None if absent)."""
-    return [
-        (
-            left_schema.index(v) if v in left_schema else None,
-            right_schema.index(v) if v in right_schema else None,
-        )
-        for v in out_schema
-    ]
-
-
-def _merge(lrow: tuple, rrow: tuple, plan) -> tuple:
-    """Merge two compatible rows: the left value unless it is unbound."""
-    out = []
-    for li, ri in plan:
-        value = None if li is None else lrow[li]
-        if value is None and ri is not None:
-            value = rrow[ri]
-        out.append(value)
-    return tuple(out)
+def _compatible(key: tuple, other: tuple) -> bool:
+    """Two multi-variable keys that agree wherever both cells are bound."""
+    return all(a is None or b is None or a == b for a, b in zip(key, other))
 
 
 # ---------------------------------------------------------------------------
@@ -422,33 +432,50 @@ def _merge(lrow: tuple, rrow: tuple, plan) -> tuple:
 _COMPARE = {"=": eq, "!=": ne, "<": lt, "<=": le, ">": gt, ">=": ge}
 
 
-def _filter_rows(
-    rows: list[tuple], schema: tuple[str, ...], constraint: Constraint, d: Dataset
-) -> list[tuple]:
-    """Rows satisfying every expression of a constraint, in input order.
+def _filter(rel: Relation, constraint: Constraint, d: Dataset) -> Relation:
+    """The rows satisfying every expression of a constraint, in input order.
 
     Each expression is compiled once and decided once per distinct term id
     in its variable's column; no other column is decoded.
     """
+    columns, size = rel.columns, rel.size
     for expr in constraint.exprs:
-        if not rows:
+        if not size:
             break
-        if expr.var not in schema:
-            return []  # unbound in every row
-        col = schema.index(expr.var)
+        if expr.var not in rel.schema:
+            return Relation(rel.schema, [[] for _ in rel.schema], 0)  # unbound in every row
+        col = columns[rel.schema.index(expr.var)]
         holds = _compile_filter(expr)
         verdict = {
             tid: tid is not None and holds(lexical_form(d.dict.decode(tid)))
-            for tid in {row[col] for row in rows}
+            for tid in set(col)
         }
-        rows = [row for row in rows if verdict[row[col]]]
-    return rows
+        keep = list(map(verdict.__getitem__, col))
+        columns = [list(compress(c, keep)) for c in columns]
+        size = len(columns[0])
+    return Relation(rel.schema, columns, size)
+
+
+# a SPARQL numeral: INTEGER, DECIMAL or DOUBLE, optionally signed
+_NUMERAL = re.compile(r"[+-]?(?:[0-9]+|[0-9]*\.[0-9]+|(?:[0-9]+\.?[0-9]*|\.[0-9]+)[eE][+-]?[0-9]+)")
+
+
+def numeric_value(lexical: str) -> Optional[float]:
+    """The value of a lexical form that is a SPARQL numeral, else None.
+
+    Only the INTEGER, DECIMAL and DOUBLE grammar counts: no surrounding
+    whitespace, digit separators, `NaN` or `INF`, all of which Python's
+    `float` would take.
+    """
+    if _NUMERAL.fullmatch(lexical) is None:
+        return None
+    return float(lexical)
 
 
 def _compile_filter(expr: FilterExpr) -> Callable[[str], bool]:
     """Compile one atomic filter to a test on a term's lexical form.
 
-    Numeric comparison applies when both sides parse as numbers, else
+    Numeric comparison applies when both sides are SPARQL numerals, else
     codepoint comparison of the lexical forms. An invalid regex or unknown
     operator logs one warning here and yields a test that drops every row.
     """
@@ -466,17 +493,13 @@ def _compile_filter(expr: FilterExpr) -> Callable[[str], bool]:
         log.warning("unknown filter operator %r; dropping rows", expr.op)
         return lambda lexical: False
     operand = expr.operand
-    try:
-        operand_num: Optional[float] = float(operand)
-    except ValueError:
-        operand_num = None
+    operand_num = numeric_value(operand)
 
     def holds(lexical: str) -> bool:
         if operand_num is not None:
-            try:
-                return compare(float(lexical), operand_num)
-            except ValueError:
-                pass
+            number = numeric_value(lexical)
+            if number is not None:
+                return compare(number, operand_num)
         return compare(lexical, operand)
 
     return holds

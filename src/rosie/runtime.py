@@ -35,7 +35,7 @@ from .estimator import (
     filter_interval,
     join_interval,
 )
-from .executor import compile_cs, execute
+from .executor import compile_cs, evaluate, execute
 from .frontend import AND, FILTER, OPT, OR, Query, query_variables
 from .planner import (
     CS,
@@ -337,7 +337,7 @@ def _run_incremental(
     `registered` for the caller to release."""
 
     def materialize(prefix: CS) -> tuple[int, int]:
-        rel = execute(
+        rel = evaluate(
             compile_cs(prefix, None, None, d), d, clock.deadline, clock.timeout_ms
         )
         rid = register_intermediate(d, rel)

@@ -4,8 +4,9 @@ Terms are interned into dense integer ids in first-seen order. Triples are
 kept in three sorted permutations (SPO, POS, OSP) so that every pattern with
 one or two bound positions scans a contiguous range. Each permutation is
 three columns of unsigned 32-bit ids, one `array` per position: a range is
-found by bisecting one column after the other, and a scan zips the slices
-of its variable columns. POS and OSP are derived from SPO by a stable sort
+found by bisecting one column after the other, and a scan returns a
+`Relation` whose columns are the slices of its variable columns, so it
+builds no row tuple. POS and OSP are derived from SPO by a stable sort
 of row indices, so a snapshot, which stores SPO alone, reopens without
 sorting any tuples. Statistics are exact per-value counts: for each term
 the number of triples where it appears as subject, predicate, or object.
@@ -174,19 +175,39 @@ class Stats:
         raise ValueError(f"unknown role {role!r}")
 
 
-@dataclass
 class Relation:
-    """Bag of solution rows over an ordered variable schema.
+    """Bag of solution rows over an ordered variable schema, held as one
+    column of term ids per variable plus the row count.
 
-    A None cell means the variable is unbound in that row.
+    A None cell means the variable is unbound in that row. A column is any
+    sequence (an `array` slice, a tuple, a list). `rows` builds the row
+    tuples on first read and keeps them; the executor reads them only for
+    a query's result.
     """
 
-    schema: tuple[str, ...]
-    rows: list[tuple]
+    __slots__ = ("schema", "columns", "size", "_rows")
+
+    def __init__(
+        self,
+        schema: tuple[str, ...],
+        columns: Sequence[Sequence[Optional[TermId]]],
+        size: int,
+        rows: Optional[list[tuple]] = None,
+    ) -> None:
+        self.schema = schema
+        self.columns = columns
+        self.size = size
+        self._rows = rows
+
+    @property
+    def rows(self) -> list[tuple]:
+        if self._rows is None:
+            self._rows = list(zip(*self.columns)) if self.columns else [()] * self.size
+        return self._rows
 
     @property
     def exact_cardinality(self) -> int:
-        return len(self.rows)
+        return self.size
 
 
 # one permutation: its three id columns, each an array of _U32_ARRAY
@@ -401,7 +422,10 @@ def scan(d: Dataset, tp) -> Relation:
 
     `tp` is a frontend.TriplePattern; bound terms absent from the dictionary
     yield the empty relation. Repeated variables constrain positions to be
-    equal. Rows keep the order of the index range the pattern scans.
+    equal. The relation's columns are the slices of the index range the
+    pattern scans, one `array` per variable, so rows keep the order of that
+    range; no row tuple is built. A pattern without variables has no
+    column and one row per match.
     """
     schema = pattern_schema(tp)
     atoms = (tp.s, tp.p, tp.o)
@@ -412,7 +436,7 @@ def scan(d: Dataset, tp) -> Relation:
         else:
             tid = d.dict.lookup(atom.value)
             if tid is None:
-                return Relation(schema, [])
+                return Relation(schema, [[] for _ in schema], 0)
             bound.append(tid)
 
     # the index whose leading columns are the bound positions
@@ -443,13 +467,13 @@ def scan(d: Dataset, tp) -> Relation:
                 equal.append((first[atom.name], pos))
             else:
                 first[atom.name] = pos
-    if not first:
-        return Relation(schema, [()] * (hi - lo))
-    rows = zip(*[cols[at[pos]][lo:hi] for pos in first.values()])
-    if equal:
-        agree = [map(eq, cols[at[a]][lo:hi], cols[at[b]][lo:hi]) for a, b in equal]
-        rows = compress(rows, map(all, zip(*agree)))
-    return Relation(schema, list(rows))
+    columns = [cols[at[pos]][lo:hi] for pos in first.values()]
+    if not equal:
+        return Relation(schema, columns, hi - lo)
+    agree = [map(eq, cols[at[a]][lo:hi], cols[at[b]][lo:hi]) for a, b in equal]
+    keep = list(map(all, zip(*agree)))
+    columns = [array(_U32_ARRAY, compress(col, keep)) for col in columns]
+    return Relation(schema, columns, len(columns[0]))
 
 
 def pattern_schema(tp) -> tuple[str, ...]:

@@ -95,9 +95,8 @@ def _filter_holds(expr, row: dict, d: Dataset) -> bool:
             return re.search(expr.operand, lexical, flags) is not None
         except re.error:
             return False
-    try:
-        a, b = float(lexical), float(expr.operand)
-    except ValueError:
+    a, b = _number(lexical), _number(expr.operand)
+    if a is None or b is None:
         a, b = lexical, expr.operand
     if expr.op == "=":
         return a == b
@@ -137,10 +136,23 @@ def _order_key(cell, d: Dataset):
     if cell is None:
         return (0, 0.0, "")
     lexical = lexical_form(d.dict.decode(cell))
-    try:
-        return (1, float(lexical), lexical)
-    except ValueError:
+    number = _number(lexical)
+    if number is None:
         return (2, 0.0, lexical)
+    return (1, number, lexical)
+
+
+# SPARQL 1.1 grammar, productions [146]-[148] and their signed forms
+_EXPONENT = "[eE][+-]?[0-9]+"
+_INTEGER = "[0-9]+"
+_DECIMAL = r"[0-9]*\.[0-9]+"
+_DOUBLE = rf"(?:[0-9]+\.[0-9]*{_EXPONENT}|\.[0-9]+{_EXPONENT}|[0-9]+{_EXPONENT})"
+_NUMERIC_LITERAL = re.compile(rf"[+-]?(?:{_INTEGER}|{_DECIMAL}|{_DOUBLE})")
+
+
+def _number(lexical: str):
+    """The value of a SPARQL numeral, None for any other lexical form."""
+    return float(lexical) if _NUMERIC_LITERAL.fullmatch(lexical) else None
 
 
 def bag_of_relation(rel) -> Counter:

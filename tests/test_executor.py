@@ -13,6 +13,7 @@ from rosie.executor import (
     _compile_filter,
     compile_cs,
     execute,
+    numeric_value,
 )
 from rosie.frontend import FilterExpr, parse_query
 from rosie.planner import plan_cs
@@ -57,7 +58,7 @@ class TestCompile:
     def test_materialized_leaf_compiles_to_fetch(self, d_toy):
         from rosie.planner import RelationLeaf
 
-        rid = register_intermediate(d_toy, Relation(("x",), [(1,)]))
+        rid = register_intermediate(d_toy, Relation(("x",), [[1]], 1))
         plan = compile_cs(RelationLeaf(rid), None, None, d_toy)
         assert isinstance(plan, FetchIntermediate)
         assert execute(plan, d_toy).rows == [(1,)]
@@ -240,6 +241,32 @@ class TestModifiers:
         rel = execute(compile_cs(plan_cs(g), q.projection, q.modifiers, d), d)
         decoded = [d.dict.decode(r[1]) for r in rel.rows]
         assert decoded == ['"2"', '"10"', '"x"']
+
+    def test_only_sparql_numerals_compare_as_numbers(self):
+        # float() would read NaN, inf, 1_0 and " 7" as numbers
+        objects = ["3", "NaN", "1", "2", "1_0", " 7", "inf"]
+        d = Dataset.from_strings([(f"s{i}", "v", make_literal(o)) for i, o in enumerate(objects)])
+
+        def lexicals(text):
+            q = parse_query(text)
+            g = build_qrg(q, d.stats, d.dict)
+            rel = execute(compile_cs(plan_cs(g), q.projection, q.modifiers, d), d)
+            assert Counter(rel.rows) == evaluate_query(q, d), text
+            return [lexical_form(d.dict.decode(r[0])) for r in rel.rows]
+
+        assert lexicals("SELECT ?o WHERE { ?s <v> ?o . } ORDER BY ?o") == [
+            "1", "2", "3", " 7", "1_0", "NaN", "inf",
+        ]
+        # numerals compare by value, anything else by codepoint
+        assert sorted(lexicals("SELECT ?o WHERE { ?s <v> ?o . FILTER (?o > 5) }")) == [
+            "NaN", "inf",
+        ]
+
+    def test_numeral_grammar(self):
+        for numeral in ("0", "-2", "+3.5", ".5", "1e3", "1.E-2", "-.5e+1", "007"):
+            assert numeric_value(numeral) == float(numeral), numeral
+        for other in ("2.", " 1", "1 ", "1_0", "NaN", "-inf", "Infinity", "0x1", "1e", "e1", "", "١"):
+            assert numeric_value(other) is None, other
 
     def test_distinct_limit_offset(self):
         d = Dataset.from_strings(

@@ -4,7 +4,8 @@ Each property draws a small dataset and fills a query template aimed at
 one branch of `store.scan` or of the executor's operators (repeated
 variables, constant positions, one or two join keys, unbound join cells
 from UNION and OPTIONAL on either side of a join, empty operands, regex
-and numeric filters, ORDER BY over unbound cells). The query tree is
+and numeric filters, ORDER BY over unbound cells, DISTINCT over unbound
+cells). The query tree is
 lowered to physical operators as written, so the template, not the
 planner, decides which operand sits on which side; the same query also
 runs through `run` under every policy. The pinned tests at the end fix
@@ -21,7 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rosie.executor import compile_cs, execute
-from rosie.frontend import FilterNode, Leaf, parse_query
+from rosie.frontend import FilterNode, Leaf, parse_query, query_variables
 from rosie.planner import CSFilter, CSNode, PatternLeaf
 from rosie.runtime import Policy, run
 from rosie.store import Dataset, load_ntriples, make_literal, scan
@@ -138,9 +139,16 @@ def as_written(node):
     return CSNode(node.kind, as_written(node.left), as_written(node.right))
 
 
-def check_against_oracle(rows, text: str, order_by: str = "") -> None:
+def check_against_oracle(rows, text: str, order_by: str = "", distinct: int = 0) -> None:
+    """The query `text` over `rows`, as written and under every policy,
+    against the oracle. With `distinct`, it is SELECT DISTINCT over the
+    first `distinct` variables of the pattern."""
     d = Dataset.from_strings(rows)
-    q = parse_query(f"SELECT * WHERE {{ {text} }} {order_by}")
+    head = "*"
+    if distinct:
+        variables = query_variables(parse_query(f"SELECT * WHERE {{ {text} }}"))
+        head = "DISTINCT " + " ".join(f"?{v}" for v in variables[:distinct])
+    q = parse_query(f"SELECT {head} WHERE {{ {text} }} {order_by}")
     expected = evaluate_query(q, d)
     plan = compile_cs(as_written(q.tree), q.projection, q.modifiers, d)
     rel = execute(plan, d)
@@ -175,6 +183,14 @@ def test_join_kernels(rows, text):
 @given(triples, filled(WILD))
 def test_join_kernels_with_unbound_keys(rows, text):
     check_against_oracle(rows, text)
+
+
+@PROPERTY
+@given(triples, filled(JOINS + WILD), st.integers(min_value=1, max_value=4))
+def test_distinct_over_padded_columns(rows, text, distinct):
+    # UNION and OPTIONAL leave unbound cells in the projected columns, and
+    # a short projection makes rows repeat
+    check_against_oracle(rows, text, distinct=distinct)
 
 
 @pytest.mark.parametrize("expression", FILTER_EXPRESSIONS)

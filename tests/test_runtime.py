@@ -1,6 +1,10 @@
 import io
+import itertools
 import json
 import random
+import struct
+import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -28,7 +32,7 @@ from rosie import runtime
 from rosie.planner import RelationLeaf
 from rosie.qrg import build_qrg, collapse_materialized
 from rosie.runtime import profile_unit
-from rosie.store import Dataset, load_ntriples, make_literal, register_intermediate
+from rosie.store import Dataset, load_ntriples, make_literal, register_intermediate, scan
 
 from conftest import D_TOY_NT
 from genqueries import random_dataset, random_query_text
@@ -412,6 +416,28 @@ class TestTimeoutAndValidation:
         q = parse_query("SELECT * WHERE { ?a <a> ?x . ?b <b> ?y . ?c <c> ?z . }")
         with pytest.raises(QueryTimeout):
             run(q, d, Policy("static"), timeout_ms=20)
+
+    def test_cartesian_blowup_stops_before_its_index_lists(self, monkeypatch):
+        # A clock that advances 1 ms per read times the query out after the
+        # same number of budget checks on any machine. The join grows its
+        # probe- and build-index lists chunk by chunk with a check between
+        # chunks, so it stops long before the two lists of one pointer per
+        # row of the product exist.
+        d = uncorrelated_uniform()
+        q = parse_query("SELECT * WHERE { ?a <a> ?x . ?b <b> ?y . ?c <c> ?z . }")
+        smallest = min(len(scan(d, pattern).rows) for pattern in q.patterns)
+        assert smallest == 2776
+        index_lists_bytes = 2 * smallest**2 * struct.calcsize("P")
+        reads = itertools.count()
+        monkeypatch.setattr(time, "monotonic", lambda: next(reads) / 1000.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(QueryTimeout):
+                run(q, d, Policy("static"), timeout_ms=50)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < index_lists_bytes / 20
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):

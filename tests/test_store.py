@@ -214,18 +214,18 @@ class TestScan:
 
 class TestIntermediates:
     def test_round_trip(self, d_toy):
-        rel = Relation(("x",), [(1,), (2,)])
+        rel = Relation(("x",), [[1, 2]], 2)
         rid = register_intermediate(d_toy, rel)
         assert d_toy.intermediates[rid] is rel
         assert d_toy.intermediates[rid].exact_cardinality == 2
 
     def test_empty_relation(self, d_toy):
-        rid = register_intermediate(d_toy, Relation(("x",), []))
+        rid = register_intermediate(d_toy, Relation(("x",), [[]], 0))
         assert d_toy.intermediates[rid].exact_cardinality == 0
 
     def test_fresh_ids(self, d_toy):
-        a = register_intermediate(d_toy, Relation(("x",), []))
-        b = register_intermediate(d_toy, Relation(("y",), []))
+        a = register_intermediate(d_toy, Relation(("x",), [[]], 0))
+        b = register_intermediate(d_toy, Relation(("y",), [[]], 0))
         assert a != b
 
 
