@@ -9,14 +9,18 @@ an unbound shared variable matches anything and adopts the other side's
 value.
 
 A scan's columns are slices of the store's permutation arrays. A join
-matches each probe row to a list of build-row indices and gathers each
-output column once over the probe-index or build-index list. Filter and
+pairs probe rows with build rows as two index lists and gathers each
+output column once over one of them. When every key cell is bound, the
+smaller input is hashed, outer joins included; when that is the probe
+side, one sort of the packed pairs restores the output order. Filter and
 slice cut every column alike; distinct and sort gather them by row
 index. Row tuples are built only by `execute`, for the result;
 `evaluate`, which materializes partial results, builds none.
 
-Row order is deterministic and the same under every policy; the README's
-"Executor" section states the rule as a contract, and the pinned tests in
+Row order is deterministic and the same under every policy: an outer join
+gives its left rows in order, an inner join the rows of its larger input,
+each with its matches in the other input's order. The README's "Executor"
+section states the rule as a contract, and the pinned tests in
 tests/test_kernels.py hold the executor to it.
 """
 
@@ -28,7 +32,7 @@ import time
 from array import array
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
-from operator import eq, ge, gt, itemgetter, le, lt, ne
+from operator import add, eq, floordiv, ge, gt, itemgetter, le, lt, mod, mul, ne
 from typing import Callable, Optional, Union
 
 from .errors import QueryTimeout, UnresolvedLeaf
@@ -308,44 +312,33 @@ def _join(
     outer: bool,
     budget: _Budget,
 ) -> Relation:
-    """Compatibility join of two relations, over columns: each probe row is
-    matched to a list of build-row indices, and every output column is one
-    gather over the probe-index or the build-index list."""
+    """Compatibility join of two relations, over columns.
+
+    The join pairs probe rows with build rows: the larger input probes an
+    inner join (the right one on a tie) and the left input probes an outer
+    join. The pairs come as a probe-index and a build-index list, in probe
+    order and build order within, and every output column is one gather
+    over one of them.
+    """
     probe, build = left, right
     if not outer and shared and left.size <= right.size:
         probe, build = right, left
     probe_keys, probe_unbound = _keys(probe, shared)
     build_keys, build_unbound = _keys(build, shared)
-    if shared:
-        hits = _matches(probe_keys, build_keys, len(shared) == 1,
-                        bool(probe_unbound), bool(build_unbound), budget)
+    if shared and not (probe_unbound or build_unbound):
+        probe_idx, build_idx, padded = _pairs(probe_keys, build_keys, outer, budget)
     else:
-        hits = [list(range(build.size))] * probe.size
+        if shared:
+            hits = _matches(probe_keys, build_keys, len(shared) == 1, bool(build_unbound), budget)
+        else:
+            hits = [list(range(build.size))] * probe.size
+        probe_idx, build_idx, padded = _index_lists(hits, build.size, outer, budget)
 
-    # an unmatched row of an outer join takes the all-unbound build row
-    # appended at index build.size; an inner join drops it
+    # an unmatched row of an outer join pairs with the all-unbound build
+    # row appended at index build.size
     build_columns = build.columns
-    if outer and not all(hits):
-        pad = [build.size]
-        hits = [h or pad for h in hits]
+    if padded:
         build_columns = [(*col, None) for col in build_columns]
-    matched = list(compress(range(len(hits)), hits))
-    hits = list(filter(None, hits))
-
-    # the index lists grow by about _TIMEOUT_CHECK_EVERY rows at a time,
-    # so a blow-up times out before they are built
-    widest = max(map(len, hits), default=1)
-    chunk = max(1, _TIMEOUT_CHECK_EVERY // widest)
-    probe_idx: list[int] = []
-    build_idx: list[int] = []
-    for start in range(0, len(hits), chunk):
-        budget.check(_TIMEOUT_CHECK_EVERY)
-        part = hits[start : start + chunk]
-        probe_idx += chain.from_iterable(
-            map(repeat, matched[start : start + chunk], map(len, part))
-        )
-        build_idx += chain.from_iterable(part)
-
     probe_cols = dict(zip(probe.schema, _gather(probe.columns, probe_idx)))
     build_cols = dict(zip(build.schema, _gather(build_columns, build_idx)))
     columns = []
@@ -360,19 +353,110 @@ def _join(
     return Relation(schema, columns, len(probe_idx))
 
 
-def _matches(
-    probe_keys, build_keys, single: bool, probe_wild: bool, build_wild: bool, budget: _Budget
-) -> list:
-    """For each probe key, the indices of the compatible build keys in build
-    order (bucket matches before wild ones), or a falsy value for none.
+def _pairs(
+    probe_keys, build_keys, outer: bool, budget: _Budget
+) -> tuple[list[int], list[int], bool]:
+    """The (probe row, build row) pairs of equal keys, for keys whose cells
+    are all bound: a probe-index and a build-index list, in probe order and
+    build order within, and whether a probe row took the pad (as in
+    `_index_lists`).
 
-    Keys whose cells are all bound meet through a hash table. A "wild" key,
-    with an unbound cell as UNION and OPTIONAL produce, is compatible with
-    anything at that cell, so it is compared pairwise.
+    The smaller input is hashed. When that is the build side, each probe
+    key looks its rows up. When it is the probe side, as for an OPTIONAL
+    whose right input is the larger, the build keys stream through the
+    probe table once, and one sort of the pairs packed as
+    `probe_row * (n_build + 1) + build_row` restores probe order; an
+    unmatched probe row packs with the pad index n_build.
     """
-    buckets: dict = {}
-    for j, key in enumerate(build_keys):
-        buckets.setdefault(key, []).append(j)
+    n_build = len(build_keys)
+    if len(probe_keys) >= n_build:
+        table = _table(build_keys)
+        return _index_lists(list(map(table.get, probe_keys)), n_build, outer, budget)
+    table = _table(probe_keys)
+    width = n_build + 1
+    # 8 bytes a pair while it grows, not an int object each
+    packed = array("q")
+    for build_part, probe_part in _chunks(list(map(table.get, build_keys)), budget):
+        packed.extend(map(add, map(mul, probe_part, repeat(width)), build_part))
+    unmatched = table.keys() - build_keys if outer else ()
+    if unmatched:
+        rows = chain.from_iterable(map(table.__getitem__, unmatched))
+        packed.extend(map(add, map(mul, rows, repeat(width)), repeat(n_build)))
+    order = sorted(packed)
+    return (
+        list(map(floordiv, order, repeat(width))),
+        list(map(mod, order, repeat(width))),
+        bool(unmatched),
+    )
+
+
+def _index_lists(
+    hits: list, n_build: int, outer: bool, budget: _Budget
+) -> tuple[list[int], list[int], bool]:
+    """The probe-index and build-index lists of the per-probe-row match
+    lists `hits` (a falsy entry for no match), and whether a probe row took
+    the pad: with `outer`, a row without a match pairs once with the pad
+    index n_build."""
+    padded = outer and not all(hits)
+    if padded:
+        pad = (n_build,)
+        hits = [h or pad for h in hits]
+    probe_idx: list[int] = []
+    build_idx: list[int] = []
+    for probe_part, build_part in _chunks(hits, budget):
+        probe_idx += probe_part
+        build_idx += build_part
+    return probe_idx, build_idx, padded
+
+
+def _chunks(hits: list, budget: _Budget):
+    """The pairs of the per-row match lists `hits` (a falsy entry for none)
+    as (row indices, match indices) iterators, about _TIMEOUT_CHECK_EVERY
+    pairs at a time with a budget check before each, so a blow-up times out
+    before the lists it would fill exist."""
+    rows = list(compress(range(len(hits)), hits))
+    hits = list(filter(None, hits))
+    widest = max(map(len, hits), default=1)
+    step = max(1, _TIMEOUT_CHECK_EVERY // widest)
+    for start in range(0, len(hits), step):
+        budget.check(_TIMEOUT_CHECK_EVERY)
+        part = hits[start : start + step]
+        part_rows = rows[start : start + step]
+        if widest > 1:
+            # each row as a 1-tuple, repeated once per match
+            part_rows = chain.from_iterable(map(mul, zip(part_rows), map(len, part)))
+        yield part_rows, chain.from_iterable(part)
+
+
+def _table(keys) -> dict:
+    """Each distinct key mapped to its rows in order: a 1-tuple for a key
+    seen once, else a list.
+
+    The dict is built in C and first holds each key's last row; only the
+    rows whose key repeats pass through a Python loop.
+    """
+    n = len(keys)
+    table = dict(zip(keys, zip(range(n))))
+    if len(table) < n:
+        lists: dict = {}
+        last = map(itemgetter(0), map(table.__getitem__, keys))
+        for j in compress(range(n), map(ne, last, range(n))):
+            lists.setdefault(keys[j], []).append(j)
+        for key, rows in lists.items():
+            rows += table[key]
+            table[key] = rows
+    return table
+
+
+def _matches(probe_keys, build_keys, single: bool, build_wild: bool, budget: _Budget) -> list:
+    """For each probe key, the indices of the compatible build keys in build
+    order (bound-key matches before wild ones), or a falsy value for none.
+
+    A "wild" key, with an unbound cell as UNION and OPTIONAL produce, is
+    compatible with anything at that cell, so it is compared pairwise; the
+    keys whose cells are all bound meet through `_table`.
+    """
+    buckets = _table(build_keys)
     wild: list[int] = []
     if build_wild:
         # the rows of every key with an unbound cell, in build order
@@ -380,8 +464,6 @@ def _matches(
             buckets.pop(key) for key in list(filter(_has_unbound, buckets))
         ))
     hits = list(map(buckets.get, probe_keys))
-    if not (probe_wild or wild):
-        return hits
 
     # an unbound single-variable key matches every build row, and a bound
     # one every wild build row; tuple keys are compared cell by cell
@@ -394,11 +476,11 @@ def _matches(
                 j for j, other in enumerate(build_keys) if _compatible(key, other)
             ]
         elif wild:
-            bucket = hits[i] or []
+            bucket = hits[i] or ()
             budget.check(1 + len(bucket) + len(wild))
-            hits[i] = bucket + (wild if single else [
+            hits[i] = [*bucket, *(wild if single else [
                 j for j, other in wild_keys if _compatible(key, other)
-            ])
+            ])]
     return hits
 
 

@@ -8,20 +8,23 @@ and numeric filters, ORDER BY over unbound cells, DISTINCT over unbound
 cells). The query tree is
 lowered to physical operators as written, so the template, not the
 planner, decides which operand sits on which side; the same query also
-runs through `run` under every policy. The pinned tests at the end fix
-the exact row order on the shared fixtures.
+runs through `run` under every policy. The equi-join pair builder is
+also checked on its own against a nested loop, index list by index list.
+The pinned tests at the end fix the exact row order on the shared
+fixtures.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from string import Template
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from rosie.executor import compile_cs, execute
+from rosie.executor import _Budget, _pairs, compile_cs, execute
 from rosie.frontend import FilterNode, Leaf, parse_query, query_variables
 from rosie.planner import CSFilter, CSNode, PatternLeaf
 from rosie.runtime import Policy, run
@@ -209,6 +212,39 @@ def test_order_by_unbound_cells(rows, text, direction):
     check_against_oracle(rows, text, f"ORDER BY {direction}(?z)")
 
 
+def nested_loop_pairs(probe_keys, build_keys, outer: bool) -> tuple[list, list]:
+    """Every (probe row, build row) pair of equal keys, probe order first and
+    build order within; with `outer`, a probe row without a match pairs once
+    with the pad index len(build_keys)."""
+    probe_idx, build_idx = [], []
+    for i, key in enumerate(probe_keys):
+        matches = [j for j, other in enumerate(build_keys) if other == key]
+        if outer and not matches:
+            matches = [len(build_keys)]
+        probe_idx += [i] * len(matches)
+        build_idx += matches
+    return probe_idx, build_idx
+
+
+join_keys = st.lists(st.integers(min_value=0, max_value=5), max_size=40)
+
+
+@PROPERTY
+@given(join_keys, join_keys, st.booleans(), st.booleans())
+@example([], [1, 1], True, False)
+@example([1, 1], [], True, False)
+@example([], [], True, True)
+@example([2, 1, 9, 1], [1, 3, 1, 2, 1, 2], True, True)
+def test_pair_builder_against_nested_loop(probe_keys, build_keys, outer, columns):
+    # either side may be the larger, so both the lookup and the packed-sort
+    # branch run; a store column is an array, an intermediate's a list
+    if columns:
+        probe_keys, build_keys = array("I", probe_keys), array("I", build_keys)
+    probe_idx, build_idx, padded = _pairs(probe_keys, build_keys, outer, _Budget(None))
+    assert (probe_idx, build_idx) == nested_loop_pairs(probe_keys, build_keys, outer)
+    assert padded == (len(build_keys) in build_idx)
+
+
 @PROPERTY
 @given(triples, st.sampled_from(SUBJECTS), st.sampled_from(PREDICATES), st.sampled_from(OBJECTS))
 def test_scan_all_positions_constant(rows, s, p, o):
@@ -295,3 +331,27 @@ def test_row_order_pinned_on_example_weights(kind):
     d = qe_weights_dataset()
     for text, rows in QE_ROWS:
         assert decoded_rows(d, text, kind) == rows, text
+
+
+def test_row_order_pinned_on_optional_with_larger_right_side():
+    # the right side is the larger, so the outer join hashes its left side;
+    # keys repeat on both sides and s3 has no match
+    d = Dataset.from_strings(
+        [("s2", "l", "a1"), ("s1", "l", "a2"), ("s3", "l", "a3"), ("s1", "l", "a4")]
+        + [("s1", "r", "b1"), ("s2", "r", "b2"), ("s1", "r", "b3"),
+           ("s4", "r", "b4"), ("s2", "r", "b5"), ("s1", "r", "b6")]
+    )
+    text = "SELECT ?a ?s ?b WHERE { ?s <l> ?a . OPTIONAL { ?s <r> ?b . } }"
+    rows = [
+        ("a1", "s2", "b2"), ("a1", "s2", "b5"),
+        ("a2", "s1", "b1"), ("a2", "s1", "b3"), ("a2", "s1", "b6"),
+        ("a3", "s3", None),
+        ("a4", "s1", "b1"), ("a4", "s1", "b3"), ("a4", "s1", "b6"),
+    ]
+    q = parse_query(text)
+    left, right = (scan(d, pattern) for pattern in q.patterns)
+    assert left.size < right.size
+    rel = execute(compile_cs(as_written(q.tree), q.projection, q.modifiers, d), d)
+    assert [tuple(None if c is None else d.dict.decode(c) for c in row) for row in rel.rows] == rows
+    for kind in ("static", "eager", "rosie"):
+        assert decoded_rows(d, text, kind) == rows, kind

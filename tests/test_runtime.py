@@ -140,6 +140,18 @@ class TestPolicyBehavior:
         # the fan-out pattern was never consumed
         assert all("T4" != s.leaf for s in trace.steps)
 
+    def test_empty_prefix_breaks_clamped_lower_bound_faithful(self):
+        # Pinned as the estimator gives it, not fixed: every lower bound is
+        # clamped to max(1.0, ...), so an empty prefix reads as a break of
+        # its lower bound. Eager materializes (T1 And T2), which is empty.
+        d = adversarial_fanout()
+        q = parse_query(ADVERSARIAL_QUERY)
+        assert evaluate_query(q, d) == Counter()
+        _, trace = run(q, d, Policy("eager"))
+        (step,) = [s for s in trace.steps if s.leaf == "T2"]
+        assert (step.decision, step.lo, step.actual) == ("materialize", 1.0, 0)
+        assert step.actual < step.lo
+
 
 class TestShouldMaterialize:
     def make_state(self):
@@ -410,6 +422,22 @@ class TestConcurrentQueries:
         assert d.intermediates == {}
 
 
+def peak_before_timeout(monkeypatch, q, d) -> int:
+    """The `tracemalloc` peak of a static run of `q` that times out under a
+    clock advancing 1 ms per read, so after the same number of budget
+    checks on any machine."""
+    reads = itertools.count()
+    monkeypatch.setattr(time, "monotonic", lambda: next(reads) / 1000.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(QueryTimeout):
+            run(q, d, Policy("static"), timeout_ms=50)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
 class TestTimeoutAndValidation:
     def test_cartesian_blowup_times_out(self):
         d = uncorrelated_uniform()
@@ -418,26 +446,31 @@ class TestTimeoutAndValidation:
             run(q, d, Policy("static"), timeout_ms=20)
 
     def test_cartesian_blowup_stops_before_its_index_lists(self, monkeypatch):
-        # A clock that advances 1 ms per read times the query out after the
-        # same number of budget checks on any machine. The join grows its
-        # probe- and build-index lists chunk by chunk with a check between
-        # chunks, so it stops long before the two lists of one pointer per
-        # row of the product exist.
+        # The join grows its probe- and build-index lists chunk by chunk
+        # with a budget check between chunks, so it stops long before the
+        # two lists of one pointer per row of the product exist.
         d = uncorrelated_uniform()
         q = parse_query("SELECT * WHERE { ?a <a> ?x . ?b <b> ?y . ?c <c> ?z . }")
         smallest = min(len(scan(d, pattern).rows) for pattern in q.patterns)
         assert smallest == 2776
         index_lists_bytes = 2 * smallest**2 * struct.calcsize("P")
-        reads = itertools.count()
-        monkeypatch.setattr(time, "monotonic", lambda: next(reads) / 1000.0)
-        tracemalloc.start()
-        try:
-            with pytest.raises(QueryTimeout):
-                run(q, d, Policy("static"), timeout_ms=50)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < index_lists_bytes / 20
+        assert peak_before_timeout(monkeypatch, q, d) < index_lists_bytes / 20
+
+    @pytest.mark.parametrize("optional", [False, True])
+    def test_hot_key_blowup_stops_before_its_pair_lists(self, monkeypatch, optional):
+        # Every row shares the one join key, so the equi-join is a product.
+        # The OPTIONAL's right input is the larger, so it hashes its left
+        # input and packs its pairs into one array, which must also grow
+        # chunk by chunk.
+        left, right = 2000, 4000
+        d = Dataset.from_strings(
+            [(f"a{i}", "p", "k") for i in range(left)]
+            + [(f"b{i}", "q", "k") for i in range(right)]
+        )
+        inner = "?b <q> ?k ." if not optional else "OPTIONAL { ?b <q> ?k . }"
+        q = parse_query(f"SELECT * WHERE {{ ?a <p> ?k . {inner} }}")
+        index_lists_bytes = 2 * left * right * struct.calcsize("P")
+        assert peak_before_timeout(monkeypatch, q, d) < index_lists_bytes / 20
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
