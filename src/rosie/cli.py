@@ -1,8 +1,9 @@
 """Command-line entry points: load data, run queries, benchmark policies.
 
-Exit codes: 0 success, 1 parse/syntax error, 2 I/O or snapshot error,
-3 timeout, 4 unsupported query feature, 5 benchmark with zero successful
-queries. Data goes to stdout (TSV/CSV); diagnostics go to stderr.
+Exit codes: 0 success, 1 parse/syntax error (a query file that is not
+UTF-8 included), 2 I/O or snapshot error or a bad option value, 3 timeout,
+4 unsupported query feature, 5 benchmark with zero successful queries.
+Data goes to stdout (TSV/CSV); diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import Optional
 
 import click
 
@@ -43,6 +45,20 @@ def _db_file(db: str) -> Path:
 def _load_dataset(db: str) -> Dataset:
     with open(_db_file(db), "rb") as fh:
         return snapshot_load(fh)
+
+
+def _policies(kinds: list[str], tau: float, sigma: float) -> list[Policy]:
+    """The policies of the given kinds, or a usage error naming the bad value."""
+    try:
+        return [Policy(kind, tau=tau, sigma=sigma) for kind in kinds]
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from None
+
+
+def _positive(ctx, param, value: Optional[float]) -> Optional[float]:
+    if value is not None and not value > 0:  # NaN fails too
+        raise click.BadParameter("must be a positive number")
+    return value
 
 
 def format_ms(value: float) -> str:
@@ -90,9 +106,10 @@ def cmd_load(source: str, db: str) -> None:
 @click.option("--sigma", type=float, default=0.05, show_default=True)
 @click.option("--explain", is_flag=True, help="Print the query graph (DOT) and plan to stderr.")
 @click.option("--trace-json", "trace_path", type=click.Path(), default=None)
-@click.option("--timeout-ms", type=float, default=None)
+@click.option("--timeout-ms", type=float, default=None, callback=_positive)
 def cmd_query(db, query_file, policy, tau, sigma, explain, trace_path, timeout_ms) -> None:
     """Run one query file against a loaded snapshot; TSV rows to stdout."""
+    (pol,) = _policies([policy], tau, sigma)
     try:
         dataset = _load_dataset(db)
     except (OSError, SnapshotFormatError) as exc:
@@ -103,6 +120,9 @@ def cmd_query(db, query_file, policy, tau, sigma, explain, trace_path, timeout_m
     except OSError as exc:
         click.echo(f"io error: {exc}", err=True)
         sys.exit(2)
+    except UnicodeDecodeError as exc:
+        click.echo(f"syntax error: {query_file}: not UTF-8: {exc}", err=True)
+        sys.exit(1)
 
     try:
         q = parse_query(text)
@@ -113,7 +133,6 @@ def cmd_query(db, query_file, policy, tau, sigma, explain, trace_path, timeout_m
         click.echo(str(exc), err=True)
         sys.exit(4)
 
-    pol = Policy(policy, tau=tau, sigma=sigma)
     if explain:
         g = build_qrg(q, dataset.stats, dataset.dict)
         click.echo(render_dot(g), err=True, nl=False)
@@ -157,6 +176,7 @@ def cmd_bench(db, queries_dir, policies, runs, tau, sigma) -> None:
     column carries the geometric mean over all successful queries of the
     policy.
     """
+    policy_list = _policies([p.strip() for p in policies.split(",") if p.strip()], tau, sigma)
     try:
         dataset = _load_dataset(db)
     except (OSError, SnapshotFormatError) as exc:
@@ -169,15 +189,19 @@ def cmd_bench(db, queries_dir, policies, runs, tau, sigma) -> None:
     if not files:
         click.echo("no query files found", err=True)
         sys.exit(5)
-    policy_list = [p.strip() for p in policies.split(",") if p.strip()]
     if runs < 2:
         click.echo("warning: runs < 2, warm-up drop skipped", err=True)
 
     results: dict[tuple[str, str], tuple] = {}
     for path in files:
-        text = path.read_text(encoding="utf-8")
-        for kind in policy_list:
-            pol = Policy(kind, tau=tau, sigma=sigma)
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            click.echo(f"{path.name}: {exc}", err=True)
+            results.update(((path.name, pol.kind), (None, None)) for pol in policy_list)
+            continue
+        for pol in policy_list:
+            kind = pol.kind
             times: list[float] = []
             count = None
             try:
@@ -196,8 +220,9 @@ def cmd_bench(db, queries_dir, policies, runs, tau, sigma) -> None:
             results[(path.name, kind)] = (sum(timed) / len(timed), count)
 
     any_success = any(mean is not None for mean, _ in results.values())
+    kinds = [pol.kind for pol in policy_list]
     gmeans: dict[str, float] = {}
-    for kind in policy_list:
+    for kind in kinds:
         vals = [
             results[(f.name, kind)][0]
             for f in files
@@ -208,7 +233,7 @@ def cmd_bench(db, queries_dir, policies, runs, tau, sigma) -> None:
 
     click.echo("query,policy,mean_ms,gmean_group,result_count")
     for path in files:
-        for kind in policy_list:
+        for kind in kinds:
             mean, count = results[(path.name, kind)]
             if mean is None:
                 click.echo(f"{path.name},{kind},ERROR,ERROR,ERROR")

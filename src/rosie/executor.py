@@ -12,7 +12,11 @@ A scan's columns are slices of the store's permutation arrays. A join
 pairs probe rows with build rows as two index lists and gathers each
 output column once over one of them. When every key cell is bound, the
 smaller input is hashed, outer joins included; when that is the probe
-side, one sort of the packed pairs restores the output order. Filter and
+side, one sort of the packed pairs restores the output order. A join of
+a small leaf input (a scan or an intermediate) with a scan whose range
+is much larger binds instead: the scan runs once per distinct key of the
+leaf, and the rows found, sorted back into scan order, are joined as
+above (`bind_inputs` states the rule). Filter and
 slice cut every column alike; distinct and sort gather them by row
 index. Row tuples are built only by `execute`, for the result;
 `evaluate`, which materializes partial results, builds none.
@@ -31,18 +35,32 @@ import re
 import time
 from array import array
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import chain, compress, islice, repeat
 from operator import add, eq, floordiv, ge, gt, itemgetter, le, lt, mod, mul, ne
 from typing import Callable, Optional, Union
 
 from .errors import QueryTimeout, UnresolvedLeaf
 from .frontend import AND, OPT, OR, Constraint, FilterExpr, Modifiers, TriplePattern
 from .planner import CS, CSFilter, CSNode, PatternLeaf, RelationLeaf
-from .store import Dataset, Relation, lexical_form, pattern_schema, scan
+from .store import (
+    _U32_ARRAY,
+    Dataset,
+    Relation,
+    lexical_form,
+    pattern_schema,
+    range_size,
+    scan,
+    scan_order,
+)
 
 log = logging.getLogger(__name__)
 
 _TIMEOUT_CHECK_EVERY = 4096
+
+# One lookup of a bind join costs about as much as hashing RATIO scanned
+# rows, and the bind join's own set-up about one lookup, as measured on
+# joins of 0 to 1,024 keys against 64 to 62,500 rows (see `bind_inputs`).
+RATIO = 64
 
 
 @dataclass
@@ -71,6 +89,19 @@ class LeftOuterJoin:
     right: "PhysicalPlan"
     shared: tuple[str, ...]
     schema: tuple[str, ...]
+
+
+@dataclass
+class BindJoin:
+    """A join that evaluates its leaf input and looks its scan input up
+    once per distinct key of the leaf; an OPTIONAL when `outer`, with the
+    leaf on the left."""
+
+    leaf: Union[Scan, FetchIntermediate]
+    scan: Scan
+    shared: tuple[str, ...]
+    schema: tuple[str, ...]
+    outer: bool
 
 
 @dataclass
@@ -115,7 +146,7 @@ class Slice:
 
 
 PhysicalPlan = Union[
-    Scan, FetchIntermediate, HashJoin, LeftOuterJoin, UnionOp, FilterOp,
+    Scan, FetchIntermediate, HashJoin, LeftOuterJoin, BindJoin, UnionOp, FilterOp,
     Project, Distinct, Sort, Slice,
 ]
 
@@ -163,12 +194,69 @@ def _compile_node(cs: CS, d: Dataset) -> PhysicalPlan:
     right = _compile_node(cs.right, d)
     schema = _merged_schema(left.schema, right.schema)
     shared = tuple(v for v in left.schema if v in right.schema)
-    if cs.op == AND:
-        return HashJoin(left, right, shared, schema)
-    if cs.op == OPT:
+    if cs.op == OR:
+        return UnionOp(left, right, schema)
+    outer = cs.op == OPT
+    bound = bind_inputs(left, right, shared, outer, d)
+    if bound is not None:
+        return BindJoin(*bound, shared, schema, outer)
+    if outer:
         return LeftOuterJoin(left, right, shared, schema)
-    assert cs.op == OR
-    return UnionOp(left, right, schema)
+    assert cs.op == AND
+    return HashJoin(left, right, shared, schema)
+
+
+def bind_inputs(
+    left: PhysicalPlan,
+    right: PhysicalPlan,
+    shared: tuple[str, ...],
+    outer: bool,
+    d: Dataset,
+) -> Optional[tuple[Union[Scan, FetchIntermediate], Scan]]:
+    """The (leaf, scan) inputs of a join that is to look its scan input up
+    once per distinct key of its leaf input, or None to hash the join.
+
+    Only a leaf's size is known soundly before it runs: a scan's index
+    range length (an upper bound when a variable repeats) or an
+    intermediate's row count. A join, filter or union result never binds.
+    The leaf binds when (its rows + 1) times RATIO fall short of the range
+    of the scan on the other side, and every key cell of it is bound. An
+    inner join binds only when the scan is the larger input, with no
+    repeated variable so that its range length is its row count: its rows
+    then lead the output, as they would in the hash join. An OPTIONAL binds
+    only from its left input, whose rows lead it either way.
+    """
+    if not shared:
+        return None
+    # each input's rows, where it may bind: known once, and only then
+    left_rows = _known_rows(left, d) if isinstance(right, Scan) else None
+    right_rows = _known_rows(right, d) if isinstance(left, Scan) and not outer else None
+    for leaf, rows, other, length in (
+        (left, left_rows, right, right_rows), (right, right_rows, left, left_rows)
+    ):
+        if rows is None:
+            continue
+        if length is None:
+            length = range_size(d, other.tp)
+        if (rows + 1) * RATIO >= length:
+            continue
+        atoms = (other.tp.s, other.tp.p, other.tp.o)
+        if not outer and (rows >= length or len(other.schema) < sum(a.is_var() for a in atoms)):
+            continue
+        if isinstance(leaf, FetchIntermediate) and _keys(d.intermediates[leaf.rel_id], shared)[1]:
+            continue
+        return leaf, other
+    return None
+
+
+def _known_rows(plan: PhysicalPlan, d: Dataset) -> Optional[int]:
+    """A leaf input's rows as known before it runs (see `bind_inputs`);
+    None for any other input."""
+    if isinstance(plan, Scan):
+        return range_size(d, plan.tp)
+    if isinstance(plan, FetchIntermediate):
+        return d.intermediates[plan.rel_id].size
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +316,18 @@ def _eval(plan: PhysicalPlan, d: Dataset, budget: _Budget) -> Relation:
     if isinstance(plan, (HashJoin, LeftOuterJoin)):
         left = _eval(plan.left, d, budget)
         right = _eval(plan.right, d, budget)
-        return _join(left, right, plan.shared, plan.schema, isinstance(plan, LeftOuterJoin), budget)
+        outer = isinstance(plan, LeftOuterJoin)
+        if not outer and plan.shared and left.size <= right.size:
+            # the larger input probes an inner join, the right one on a tie
+            left, right = right, left
+        return _join(left, right, plan.shared, plan.schema, outer, budget)
+    if isinstance(plan, BindJoin):
+        leaf = _eval(plan.leaf, d, budget)
+        found = _lookup(plan, leaf, d, budget)
+        if plan.outer:
+            return _join(leaf, found, plan.shared, plan.schema, True, budget)
+        # the scan is the larger input, so its rows lead, as in a hash join
+        return _join(found, leaf, plan.shared, plan.schema, False, budget)
     if isinstance(plan, UnionOp):
         left = _eval(plan.left, d, budget)
         right = _eval(plan.right, d, budget)
@@ -305,24 +404,20 @@ def _sort_key(cell, d: Dataset):
 
 
 def _join(
-    left: Relation,
-    right: Relation,
+    probe: Relation,
+    build: Relation,
     shared: tuple[str, ...],
     schema: tuple[str, ...],
     outer: bool,
     budget: _Budget,
 ) -> Relation:
-    """Compatibility join of two relations, over columns.
+    """Compatibility join of two relations, over columns, whose output
+    follows the probe rows; an outer join keeps every probe row.
 
-    The join pairs probe rows with build rows: the larger input probes an
-    inner join (the right one on a tie) and the left input probes an outer
-    join. The pairs come as a probe-index and a build-index list, in probe
-    order and build order within, and every output column is one gather
-    over one of them.
+    The pairs come as a probe-index and a build-index list, in probe order
+    and build order within, and every output column is one gather over one
+    of them.
     """
-    probe, build = left, right
-    if not outer and shared and left.size <= right.size:
-        probe, build = right, left
     probe_keys, probe_unbound = _keys(probe, shared)
     build_keys, build_unbound = _keys(build, shared)
     if shared and not (probe_unbound or build_unbound):
@@ -351,6 +446,40 @@ def _join(
         else:
             columns.append(probe_cols[v])
     return Relation(schema, columns, len(probe_idx))
+
+
+def _lookup(plan: BindJoin, leaf: Relation, d: Dataset, budget: _Budget) -> Relation:
+    """The rows of the scan input that join some row of `leaf`, in scan
+    order.
+
+    The scan runs once per distinct key of `leaf`, with the key's ids in
+    place of the shared variables, each run with a budget check. The rows
+    found are sorted back into the order of the scan's own range, whose
+    rows ascend in the cells of its `scan_order`.
+    """
+    shared = plan.shared
+    keys, _ = _keys(leaf, shared)
+    parts = []
+    for key in set(keys):
+        cells = key if len(shared) > 1 else (key,)
+        rel = scan(d, plan.scan.tp, dict(zip(shared, cells)))
+        budget.check(1 + rel.size)
+        if rel.size:
+            parts.append((cells, rel))
+    sizes = [rel.size for _, rel in parts]
+    found = {
+        v: array(_U32_ARRAY, chain.from_iterable(map(repeat, [c[k] for c, _ in parts], sizes)))
+        for k, v in enumerate(shared)
+    }
+    free = [v for v in plan.scan.schema if v not in found]
+    for k, v in enumerate(free):
+        found[v] = array(_U32_ARRAY, chain.from_iterable(rel.columns[k] for _, rel in parts))
+    rel = Relation(plan.scan.schema, [found[v] for v in plan.scan.schema], sum(sizes))
+    order = [found[v] for v in scan_order(plan.scan.tp)]
+    sort_keys = order[0] if len(order) == 1 else list(zip(*order))
+    if any(map(gt, sort_keys, islice(sort_keys, 1, None))):
+        return _take(rel, sorted(range(rel.size), key=sort_keys.__getitem__))
+    return rel
 
 
 def _pairs(

@@ -63,7 +63,7 @@ class Policy:
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
             raise ValueError(f"unknown policy {self.kind!r}")
-        if self.tau < 1.0:
+        if not self.tau >= 1.0:  # NaN fails too
             raise ValueError("tau must be >= 1")
         if not 0.0 < self.sigma <= 1.0:
             raise ValueError("sigma must be in (0, 1]")

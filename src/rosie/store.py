@@ -271,15 +271,6 @@ def _gather(cols: Columns, key: Sequence[int]) -> Columns:
     return tuple(array(_U32_ARRAY, gather(col)) for col in cols)
 
 
-def _range(cols: Columns, prefix: tuple) -> tuple[int, int]:
-    """The rows [lo, hi) of an index whose leading columns equal `prefix`."""
-    lo, hi = 0, len(cols[0])
-    for col, value in zip(cols, prefix):
-        lo = bisect_left(col, value, lo, hi)
-        hi = bisect_right(col, value, lo, hi)
-    return lo, hi
-
-
 def load_ntriples(source) -> Dataset:
     """Parse line-oriented N-Triples from a byte or text stream.
 
@@ -411,69 +402,101 @@ def _parse_term(line: str, pos: int, line_no: int, which: str) -> tuple[str, int
     raise ParseError(line_no, f"unexpected character {c!r} in {which}")
 
 
-# For each index: the column that holds the S, P and O of a triple.
-_SPO_AT = (0, 1, 2)
-_POS_AT = (2, 0, 1)
-_OSP_AT = (1, 2, 0)
+# Each index: its `Dataset` attribute and the positions (0 S, 1 P, 2 O) its
+# columns hold, in column order.
+_SPO = ("spo", (0, 1, 2))
+_POS = ("pos", (1, 2, 0))
+_OSP = ("osp", (2, 0, 1))
+# the index for each set of bound positions, as (S, P, O) flags: the one
+# whose leading columns they are
+_INDEX = {
+    (False, False, False): _SPO, (True, False, False): _SPO,
+    (False, True, False): _POS, (False, False, True): _OSP,
+    (True, True, False): _SPO, (True, True, True): _SPO,
+    (False, True, True): _POS, (True, False, True): _OSP,
+}
 
 
-def scan(d: Dataset, tp) -> Relation:
+def scan(d: Dataset, tp, binding: Optional[dict[str, TermId]] = None) -> Relation:
     """All solutions of one triple pattern, schema in S,P,O order.
 
     `tp` is a frontend.TriplePattern; bound terms absent from the dictionary
     yield the empty relation. Repeated variables constrain positions to be
-    equal. The relation's columns are the slices of the index range the
-    pattern scans, one `array` per variable, so rows keep the order of that
-    range; no row tuple is built. A pattern without variables has no
-    column and one row per match.
+    equal. `binding` maps variables to term ids that stand in for them, as
+    constants: they leave the schema. The relation's columns are the slices
+    of the index range the pattern scans, one `array` per variable, so rows
+    keep the order of that range; no row tuple is built. A pattern without
+    variables has no column and one row per match.
     """
-    schema = pattern_schema(tp)
-    atoms = (tp.s, tp.p, tp.o)
-    bound: list[Optional[TermId]] = []
-    for atom in atoms:
-        if atom.is_var():
-            bound.append(None)
-        else:
-            tid = d.dict.lookup(atom.value)
-            if tid is None:
-                return Relation(schema, [[] for _ in schema], 0)
-            bound.append(tid)
-
-    # the index whose leading columns are the bound positions
-    s, p, o = bound
-    if s is not None and p is not None:
-        cols, at, prefix = d.spo, _SPO_AT, ((s, p) if o is None else (s, p, o))
-    elif s is not None and o is not None:
-        cols, at, prefix = d.osp, _OSP_AT, (o, s)
-    elif p is not None and o is not None:
-        cols, at, prefix = d.pos, _POS_AT, (p, o)
-    elif s is not None:
-        cols, at, prefix = d.spo, _SPO_AT, (s,)
-    elif p is not None:
-        cols, at, prefix = d.pos, _POS_AT, (p,)
-    elif o is not None:
-        cols, at, prefix = d.osp, _OSP_AT, (o,)
-    else:
-        cols, at, prefix = d.spo, _SPO_AT, ()
-    lo, hi = _range(cols, prefix)
-
-    # the position of each variable's first occurrence, and the position
-    # pairs a repeated variable forces equal
-    first: dict[str, int] = {}
-    equal: list[tuple[int, int]] = []
-    for pos, atom in enumerate(atoms):
-        if atom.is_var():
-            if atom.name in first:
-                equal.append((first[atom.name], pos))
-            else:
-                first[atom.name] = pos
-    columns = [cols[at[pos]][lo:hi] for pos in first.values()]
+    ids, first, equal = _positions(d, tp, binding)
+    schema = tuple(first)
+    if ids is None:
+        return Relation(schema, [[] for _ in schema], 0)
+    cols, order, lo, hi = _extent(d, ids)
+    columns = [cols[order.index(pos)][lo:hi] for pos in first.values()]
     if not equal:
         return Relation(schema, columns, hi - lo)
-    agree = [map(eq, cols[at[a]][lo:hi], cols[at[b]][lo:hi]) for a, b in equal]
+    agree = [
+        map(eq, cols[order.index(a)][lo:hi], cols[order.index(b)][lo:hi]) for a, b in equal
+    ]
     keep = list(map(all, zip(*agree)))
     columns = [array(_U32_ARRAY, compress(col, keep)) for col in columns]
     return Relation(schema, columns, len(columns[0]))
+
+
+def range_size(d: Dataset, tp) -> int:
+    """The length of the index range a scan of `tp` reads: its row count
+    unless a variable repeats, then an upper bound. Two bisects per bound
+    position; no row is read."""
+    ids, _, _ = _positions(d, tp, None)
+    if ids is None:
+        return 0
+    _, _, lo, hi = _extent(d, ids)
+    return hi - lo
+
+
+def _positions(d: Dataset, tp, binding: Optional[dict[str, TermId]]) -> tuple:
+    """The id at each position of a pattern (None where a variable is free;
+    None for all when a constant is absent from the dictionary), the
+    position of each free variable's first occurrence, and the position
+    pairs a repeated free variable forces equal."""
+    ids: Optional[list[Optional[TermId]]] = [None, None, None]
+    first: dict[str, int] = {}
+    equal: list[tuple[int, int]] = []
+    absent = False
+    for pos, atom in enumerate((tp.s, tp.p, tp.o)):
+        if not atom.is_var():
+            ids[pos] = d.dict.lookup(atom.value)
+            absent = absent or ids[pos] is None
+        elif binding and atom.name in binding:
+            ids[pos] = binding[atom.name]
+        elif atom.name in first:
+            equal.append((first[atom.name], pos))
+        else:
+            first[atom.name] = pos
+    return (None if absent else ids), first, equal
+
+
+def _extent(d: Dataset, ids: list) -> tuple[Columns, tuple[int, int, int], int, int]:
+    """The index a pattern with these position ids (None where free) scans,
+    the positions of its columns, and the rows [lo, hi) that match them."""
+    name, order = _INDEX[ids[0] is not None, ids[1] is not None, ids[2] is not None]
+    cols = getattr(d, name)
+    lo, hi = 0, len(cols[0])
+    for k, pos in enumerate(order):
+        if ids[pos] is None:
+            break
+        lo = bisect_left(cols[k], ids[pos], lo, hi)
+        hi = bisect_right(cols[k], ids[pos], lo, hi)
+    return cols, order, lo, hi
+
+
+def scan_order(tp) -> tuple[str, ...]:
+    """The variables of `tp` whose cells a scan's rows ascend in, most
+    significant first: rows compare as the tuples of these cells."""
+    atoms = (tp.s, tp.p, tp.o)
+    _, order = _INDEX[tuple(not atom.is_var() for atom in atoms)]
+    return tuple(dict.fromkeys(atoms[pos].name for pos in order if atoms[pos].is_var()))
 
 
 def pattern_schema(tp) -> tuple[str, ...]:

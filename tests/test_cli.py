@@ -185,6 +185,32 @@ class TestQuery:
         )
         assert result.exit_code == 3
 
+    def test_non_utf8_query_file_exit_code(self, tmp_path, runner, toy_db):
+        qf = tmp_path / "latin1.rq"
+        qf.write_bytes('SELECT ?x WHERE { ?x <content> "caf\xe9" . }\n'.encode("latin-1"))
+        result = runner.invoke(main, ["query", "--db", str(toy_db), "--file", str(qf)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert result.stderr.startswith("syntax error:") and "UTF-8" in result.stderr
+        assert len(result.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ["--tau", "nan"], ["--tau", "0.5"], ["--sigma", "nan"], ["--sigma", "0"],
+            ["--sigma", "1.5"], ["--timeout-ms", "0"], ["--timeout-ms", "-5"],
+            ["--timeout-ms", "nan"],
+        ],
+    )
+    def test_bad_run_parameter_is_a_usage_error(self, tmp_path, runner, toy_db, option):
+        qf = write_query(tmp_path, QUERY_2ROWS)
+        result = runner.invoke(
+            main, ["query", "--db", str(toy_db), "--file", str(qf), *option]
+        )
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Usage:" in result.stderr and result.stdout == ""
+
     def test_trace_json_written(self, tmp_path, runner, toy_db):
         qf = write_query(tmp_path, QUERY_2ROWS)
         trace_path = tmp_path / "trace.json"
@@ -260,6 +286,39 @@ class TestBench:
         assert result.exit_code == 5
         lines = result.stdout.splitlines()
         assert any("ERROR" in line for line in lines[1:])
+
+    def test_unreadable_query_files_are_error_cells(self, tmp_path, runner, toy_db):
+        qdir = tmp_path / "queries"
+        qdir.mkdir()
+        (qdir / "good.rq").write_text(QUERY_2ROWS)
+        (qdir / "latin1.rq").write_bytes(b"SELECT ?x WHERE { ?x <content> \"caf\xe9\" . }\n")
+        (qdir / "folder.rq").mkdir()
+        result = runner.invoke(
+            main, ["bench", "--db", str(toy_db), "--queries", str(qdir), "--runs", "2",
+                   "--policies", "static,rosie"],
+        )
+        assert result.exit_code == 0, result.stderr
+        assert isinstance(result.exception, SystemExit) or result.exception is None
+        cells = {tuple(line.split(",")[:2]): line for line in result.stdout.splitlines()[1:]}
+        for name in ("latin1.rq", "folder.rq"):
+            for kind in ("static", "rosie"):
+                assert cells[(name, kind)] == f"{name},{kind},ERROR,ERROR,ERROR"
+        assert cells[("good.rq", "rosie")].endswith(",2")
+
+    @pytest.mark.parametrize(
+        "option",
+        [["--tau", "nan"], ["--sigma", "2"], ["--policies", "static,nonsense"]],
+    )
+    def test_bad_run_parameter_is_a_usage_error(self, tmp_path, runner, toy_db, option):
+        qdir = tmp_path / "queries"
+        qdir.mkdir()
+        (qdir / "a.rq").write_text(QUERY_2ROWS)
+        result = runner.invoke(
+            main, ["bench", "--db", str(toy_db), "--queries", str(qdir), "--runs", "2", *option]
+        )
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Usage:" in result.stderr and result.stdout == ""
 
     def test_partial_failure_exit_0(self, tmp_path, runner, toy_db):
         qdir = tmp_path / "queries"

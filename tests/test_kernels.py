@@ -10,12 +10,15 @@ lowered to physical operators as written, so the template, not the
 planner, decides which operand sits on which side; the same query also
 runs through `run` under every policy. The equi-join pair builder is
 also checked on its own against a nested loop, index list by index list.
+Bind joins run against the hash joins they replace, row for row, with
+the choice forced through `RATIO`, and the choice rule itself is pinned.
 The pinned tests at the end fix the exact row order on the shared
 fixtures.
 """
 
 from __future__ import annotations
 
+import inspect
 from array import array
 from collections import Counter
 from string import Template
@@ -24,11 +27,33 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from rosie.executor import _Budget, _pairs, compile_cs, execute
+from rosie import executor, runtime
+from rosie.datagen import ADVERSARIAL_QUERY, adversarial_fanout
+from rosie.executor import (
+    BindJoin,
+    FetchIntermediate,
+    HashJoin,
+    LeftOuterJoin,
+    Scan,
+    _Budget,
+    _pairs,
+    bind_inputs,
+    compile_cs,
+    evaluate,
+    execute,
+)
 from rosie.frontend import FilterNode, Leaf, parse_query, query_variables
-from rosie.planner import CSFilter, CSNode, PatternLeaf
+from rosie.planner import CSFilter, CSNode, PatternLeaf, RelationLeaf, plan_cs
+from rosie.qrg import build_qrg
 from rosie.runtime import Policy, run
-from rosie.store import Dataset, load_ntriples, make_literal, scan
+from rosie.store import (
+    Dataset,
+    load_ntriples,
+    make_literal,
+    pattern_schema,
+    register_intermediate,
+    scan,
+)
 
 from conftest import D_TOY_NT, QE_TEXT, qe_weights_dataset
 from naive_eval import _order_key, eval_node, evaluate_query
@@ -254,6 +279,179 @@ def test_scan_all_positions_constant(rows, s, p, o):
     rel = scan(d, pattern)
     assert rel.schema == ()
     assert rel.rows == [()] * len(eval_node(Leaf(pattern), d))
+
+
+# ---------------------------------------------------------------------------
+# Bind joins: RATIO 0 binds every join that may bind, NEVER none of them
+# ---------------------------------------------------------------------------
+
+NEVER = 10**12
+
+BIND = [
+    # the leaf on the left and on the right; one and two shared variables
+    "?x <$P> <$O> . ?x <$Q> ?y .",
+    "?x <$Q> ?y . ?x <$P> <$O> .",
+    "<$S> ?p ?y . ?x ?p ?y .",
+    "?x <$P> ?y . ?x <$Q> ?y .",
+    # a repeated variable in the scanned pattern: an inner join hashes
+    "?x <$P> <$O> . ?x <$Q> ?x .",
+    "<$S> ?p ?x . ?x <$Q> ?x .",
+    "?x <$P> <$O> . OPTIONAL { ?x <$Q> ?x . }",
+    "?x <$P> <$O> . OPTIONAL { ?x ?x ?y . }",
+    "?x <$P> <$O> . OPTIONAL { ?x ?y ?y . }",
+    # a constant absent from the dictionary: an empty leaf, an empty scan
+    "?x <nope> ?y . ?x <$Q> ?z .",
+    "?x <nope> ?y . OPTIONAL { ?x <$Q> ?z . }",
+    "?x <$P> <$O> . ?x <nope> ?z .",
+    # an OPTIONAL binds from its left input, even the larger one
+    "?x <$P> <$O> . OPTIONAL { ?x <$Q> ?y . }",
+    "<$S> <$P> ?y . OPTIONAL { ?x ?p ?y . }",
+    "?x ?p ?y . OPTIONAL { ?x <$P> <$O> . }",
+    # a leaf joined twice: the join result above it hashes
+    "?x <$P> <$O> . ?x <$Q> ?y . ?y <$R> ?z .",
+]
+
+# a group materialized as an intermediate, joined with one pattern
+MATERIALIZED = [
+    "?x <$P> ?y . ?y <$Q> ?z .",
+    "?x <$P> ?y . ?x <$Q> ?y .",
+    "?x <$P> ?y . OPTIONAL { ?y <$Q> ?z . }",
+    "?x <$P> ?y . OPTIONAL { ?y ?y ?z . }",
+    # unbound key cells from UNION and OPTIONAL: the hash path
+    "{ ?x <$P> ?y . } UNION { ?x <$Q> ?z . } ?y <$R> ?w .",
+    "{ ?x <$P> ?y . OPTIONAL { ?y <$Q> ?z . } } ?z <$R> ?w .",
+    "{ ?x <$P> ?y . } UNION { ?x <$Q> ?z . } OPTIONAL { ?y <$R> ?w . }",
+]
+
+
+# denser than `triples`, so that most leaves find rows
+bind_triples = st.lists(
+    st.tuples(
+        st.sampled_from(SUBJECTS + ["s2"]),
+        st.sampled_from(PREDICATES),
+        st.sampled_from(["s0", "s1", "s2", "p0", "p1"]),
+    ),
+    min_size=12,
+    max_size=40,
+)
+
+
+def bind_joins(plan) -> list[BindJoin]:
+    """The bind joins of a physical plan."""
+    if isinstance(plan, BindJoin):
+        return [plan, *bind_joins(plan.leaf)]
+    children = [getattr(plan, f, None) for f in ("left", "right", "child")]
+    return [b for child in children if child is not None for b in bind_joins(child)]
+
+
+def bound_and_hashed(d: Dataset, cs, q) -> tuple:
+    """`cs` compiled with every join that may bind bound, and with none."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(executor, "RATIO", 0)
+        bound = compile_cs(cs, q.projection, q.modifiers, d)
+        mp.setattr(executor, "RATIO", NEVER)
+        hashed = compile_cs(cs, q.projection, q.modifiers, d)
+    assert bind_joins(hashed) == []
+    return bound, hashed
+
+
+def check_bind_against_hash(d: Dataset, cs, q) -> BindJoin | None:
+    """The bound plan of `cs` gives the hashed plan's rows in its order and
+    the oracle's bag; its top join, if bound, is returned."""
+    bound, hashed = bound_and_hashed(d, cs, q)
+    rows = execute(bound, d).rows
+    assert rows == execute(hashed, d).rows
+    assert Counter(rows) == evaluate_query(q, d)
+    for join in bind_joins(bound):
+        assert isinstance(join.leaf, (Scan, FetchIntermediate))
+    return bound if isinstance(bound, BindJoin) else None
+
+
+@PROPERTY
+@given(bind_triples, filled(BIND))
+@example([("s0", "p0", "s1"), ("s1", "p0", "s1")] + [(f"s{i}", "p1", "p1") for i in range(4)],
+         "?x <p0> <s1> . ?x <p1> ?y .")
+@example([("s0", "p0", "s1")] + [(f"s{i}", "p1", f"s{i}") for i in range(4)],
+         "?x <p0> <s1> . OPTIONAL { ?x <p1> ?x . }")
+# the scan's range outnumbers the leaf, its rows do not: leaf rows lead
+@example([("s1", "p2", "s1"), ("s2", "p2", "s2"),
+          ("s0", "p0", "s2"), ("s0", "p1", "s1"), ("s0", "p0", "s1"),
+          ("s1", "p2", "s0"), ("s2", "p2", "s0"), ("s1", "p2", "s2")],
+         "<s0> ?p ?x . ?x <p2> ?x .")
+def test_bind_join_against_hash_join(rows, text):
+    d = Dataset.from_strings(rows)
+    q = parse_query(f"SELECT * WHERE {{ {text} }}")
+    top = check_bind_against_hash(d, as_written(q.tree), q)
+    if top is not None and not top.outer:
+        atoms = (top.scan.tp.s, top.scan.tp.p, top.scan.tp.o)
+        assert len(top.scan.schema) == sum(a.is_var() for a in atoms)
+
+
+@PROPERTY
+@given(bind_triples, filled(MATERIALIZED), st.booleans())
+@example([("s0", "p0", "s1")] + [("s1", "p1", f"o{i}") for i in range(4)],
+         "?x <p0> ?y . ?y <p1> ?z .", False)
+def test_bind_join_from_an_intermediate(rows, text, leaf_right):
+    d = Dataset.from_strings(rows)
+    q = parse_query(f"SELECT * WHERE {{ {text} }}")
+    group = evaluate(compile_cs(as_written(q.tree.left), None, None, d), d)
+    rid = register_intermediate(d, group)
+    leaf, pattern = RelationLeaf(rid), as_written(q.tree.right)
+    inner = q.tree.kind == "And"
+    cs = CSNode(q.tree.kind, *((pattern, leaf) if inner and leaf_right else (leaf, pattern)))
+    top = check_bind_against_hash(d, cs, q)
+    shared = [v for v in group.schema if v in pattern_schema(pattern.tp)]
+    if any(None in group.columns[group.schema.index(v)] for v in shared):
+        assert top is None
+    elif top is not None:
+        assert isinstance(top.leaf, FetchIntermediate)
+
+
+def test_bind_choice_reads_no_policy():
+    assert list(inspect.signature(bind_inputs).parameters) == [
+        "left", "right", "shared", "outer", "d",
+    ]
+    assert not hasattr(executor, "Policy")
+
+
+def test_join_result_never_binds(monkeypatch):
+    # static's last join probes a join-result prefix, empty here, with the
+    # 6,000 rows of T4; however cheap the lookups, that prefix never binds
+    d = adversarial_fanout()
+    q = parse_query(ADVERSARIAL_QUERY)
+    cs = plan_cs(build_qrg(q, d.stats, d.dict))
+    for ratio in (executor.RATIO, 0):
+        monkeypatch.setattr(executor, "RATIO", ratio)
+        plan = compile_cs(cs, None, None, d)
+        assert isinstance(plan, HashJoin) and isinstance(plan.left, HashJoin)
+        assert isinstance(plan.right, Scan) and plan.right.tp.p.value == "comment_on"
+
+
+def test_sel2_shape_binds_under_every_policy(monkeypatch):
+    # ?s <x> <v> . ?s <y> ?y: two subjects carry <v>, and <y> has 400 rows
+    rows = [(f"e{i}", "y", f"w{i % 7}") for i in range(400)]
+    rows += [(f"e{i}", "x", "v" if i in (16, 202) else f"u{i % 5}") for i in range(0, 400, 2)]
+    rows.append(("e16", "y", "w3b"))
+    d = Dataset.from_strings(rows)
+    q = parse_query("SELECT ?s ?y WHERE { ?s <x> <v> . ?s <y> ?y . }")
+    expected = evaluate_query(q, d)
+    assert sum(expected.values()) == 3
+    plans = []
+
+    def recording(*args):
+        plans.append(compile_cs(*args))
+        return plans[-1]
+
+    monkeypatch.setattr(runtime, "compile_cs", recording)
+    for kind in ("static", "eager", "rosie"):
+        plans.clear()
+        rel, _ = run(q, d, Policy(kind))
+        assert Counter(rel.rows) == expected, kind
+        assert any(bind_joins(plan) for plan in plans), kind
+        with monkeypatch.context() as mp:
+            mp.setattr(executor, "RATIO", NEVER)
+            hashed, _ = run(q, d, Policy(kind))
+        assert rel.rows == hashed.rows, kind
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from rosie.datagen import (
     uncorrelated_uniform,
 )
 from rosie.errors import QueryTimeout
+from rosie.executor import BindJoin, compile_cs
 from rosie.estimator import CardinalityInterval
 from rosie.frontend import AND, OPT, Leaf, Modifiers, OpNode, Query, parse_query
 from rosie.runtime import (
@@ -29,7 +30,7 @@ from rosie.runtime import (
     should_materialize,
 )
 from rosie import runtime
-from rosie.planner import RelationLeaf
+from rosie.planner import RelationLeaf, plan_cs
 from rosie.qrg import build_qrg, collapse_materialized
 from rosie.runtime import profile_unit
 from rosie.store import Dataset, load_ntriples, make_literal, register_intermediate, scan
@@ -472,6 +473,23 @@ class TestTimeoutAndValidation:
         index_lists_bytes = 2 * left * right * struct.calcsize("P")
         assert peak_before_timeout(monkeypatch, q, d) < index_lists_bytes / 20
 
+    @pytest.mark.parametrize("optional", [False, True])
+    def test_hot_key_bind_join_stops_before_its_pair_lists(self, monkeypatch, optional):
+        # A leaf of 300 rows binds a range of 40,000 rows, and every row of
+        # both shares the one key: one lookup finds the whole range, and the
+        # join's pairs must still grow chunk by chunk.
+        left, right = 300, 40000
+        d = Dataset.from_strings(
+            [(f"a{i}", "p", "k") for i in range(left)]
+            + [(f"b{i}", "q", "k") for i in range(right)]
+        )
+        inner = "?b <q> ?k ." if not optional else "OPTIONAL { ?b <q> ?k . }"
+        q = parse_query(f"SELECT * WHERE {{ ?a <p> ?k . {inner} }}")
+        plan = compile_cs(plan_cs(build_qrg(q, d.stats, d.dict)), None, None, d)
+        assert isinstance(plan, BindJoin)
+        index_lists_bytes = 2 * left * right * struct.calcsize("P")
+        assert peak_before_timeout(monkeypatch, q, d) < index_lists_bytes / 20
+
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             Policy("nonsense")
@@ -481,6 +499,10 @@ class TestTimeoutAndValidation:
             Policy("rosie", sigma=0.0)
         with pytest.raises(ValueError):
             Policy("rosie", sigma=1.5)
+        with pytest.raises(ValueError):
+            Policy("rosie", tau=float("nan"))
+        with pytest.raises(ValueError):
+            Policy("rosie", sigma=float("nan"))
 
 
 class TestSoakRegressions:
