@@ -6,14 +6,19 @@ one or two bound positions scans a contiguous range. Each permutation is
 three columns of unsigned 32-bit ids, one `array` per position: a range is
 found by bisecting one column after the other, and a scan returns a
 `Relation` whose columns are the slices of its variable columns, so it
-builds no row tuple. POS and OSP are derived from SPO by a stable sort
-of row indices, so a snapshot, which stores SPO alone, reopens without
-sorting any tuples. Statistics are exact per-value counts: for each term
-the number of triples where it appears as subject, predicate, or object.
+builds no row tuple. A dataset is built from SPO alone: POS and OSP are
+derived from it by a stable sort of row indices, and the statistics,
+exact per-value counts (for each term the number of triples where it
+appears as subject, predicate, or object), by counting its columns. Each
+of the three is built once, on first read, so a load or a reopen, which
+read none of them, pays for none, and a query pays only for those it
+reads.
 
-A dataset is immutable after load; the only mutation is registering
-intermediate relations produced while executing a single query, which the
-query releases again when it ends.
+A dataset is logically immutable after load: a structure built on first
+read is a function of SPO and the dictionary, so no reader can tell when
+it was built. The only mutation is registering intermediate relations
+produced while executing a single query, which the query releases again
+when it ends.
 """
 
 from __future__ import annotations
@@ -214,24 +219,68 @@ class Relation:
 Columns = tuple[array, array, array]
 
 
+class _Derived:
+    """A `Dataset` member computed from the dataset on first read, at most
+    once per dataset: the build runs under the dataset's `_derive_lock`,
+    and the value then sits in the instance's `__dict__`, where every
+    later read finds it without calling the descriptor."""
+
+    def __init__(self, build) -> None:
+        self.build = build
+        self.__doc__ = build.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, d, owner=None):
+        if d is None:
+            return self
+        with d._derive_lock:
+            value = d.__dict__.get(self.name)
+            if value is None:
+                value = d.__dict__[self.name] = self.build(d)
+        return value
+
+
 class Dataset:
-    """Immutable triple set plus dictionary, stats and query intermediates."""
+    """Immutable triple set plus dictionary, stats and query intermediates.
+
+    Only SPO is built with the dataset. POS, OSP and the statistics are
+    derived from it once, on the first read of `pos`, `osp` or `stats`,
+    under one lock per dataset, so concurrent first readers build each
+    at most once.
+    """
 
     def __init__(self, dictionary: TermDictionary, spo: Columns):
         """`spo` holds the S, P and O columns of each (s, p, o) id triple,
         once and in ascending order; it becomes the SPO index as it is."""
         self.dict = dictionary
         self.spo: Columns = spo
-        s, p, o = spo
-        # a stable sort keeps the SPO order within ties: s within (p, o),
-        # and (s, p) within o
-        width = len(dictionary)
-        self.pos: Columns = _gather((p, o, s), [pi * width + oi for pi, oi in zip(p, o)])
-        self.osp: Columns = _gather((o, s, p), o)
-        self.stats = Stats(size=len(s), s_hist=Counter(s), p_hist=Counter(p), o_hist=Counter(o))
         self.intermediates: dict[RelationId, Relation] = {}
         self._next_relation_id = 1
         self._registration_lock = threading.Lock()
+        self._derive_lock = threading.Lock()
+
+    @_Derived
+    def pos(self) -> Columns:
+        """The POS index: SPO stably sorted on (p, o), so s ascends
+        within ties."""
+        s, p, o = self.spo
+        width = len(self.dict)
+        return _gather((p, o, s), [pi * width + oi for pi, oi in zip(p, o)])
+
+    @_Derived
+    def osp(self) -> Columns:
+        """The OSP index: SPO stably sorted on o, so (s, p) ascends
+        within ties."""
+        s, p, o = self.spo
+        return _gather((o, s, p), o)
+
+    @_Derived
+    def stats(self) -> Stats:
+        """The exact per-term histograms of the three positions."""
+        s, p, o = self.spo
+        return Stats(size=len(s), s_hist=Counter(s), p_hist=Counter(p), o_hist=Counter(o))
 
     # -- construction ------------------------------------------------------
 
@@ -244,13 +293,11 @@ class Dataset:
             (intern(s, len(ids)), intern(p, len(ids)), intern(o, len(ids)))
             for s, p, o in triples
         }
-        spo = _columns(sorted(enc))
-        del enc  # not alive while POS and OSP are built
-        return cls(TermDictionary(ids), spo)
+        return cls(TermDictionary(ids), _columns(sorted(enc)))
 
     @property
     def size(self) -> int:
-        return self.stats.size
+        return len(self.spo[0])
 
     def triples(self) -> Iterator[Triple]:
         return map(Triple, *self.spo)
@@ -563,26 +610,30 @@ def snapshot_load(source: BinaryIO) -> Dataset:
     off = len(SNAPSHOT_MAGIC)
     if data[:off] != SNAPSHOT_MAGIC:
         raise SnapshotFormatError(f"bad magic {data[:off]!r}")
-    ids: dict[str, TermId] = {}
+    blobs = []
     try:
         (term_count,) = _U32.unpack_from(data, off)
         off += 4
-        for tid in range(term_count):
+        for _ in range(term_count):
             (length,) = _U32.unpack_from(data, off)
             off += 4
-            blob = data[off : off + length]
-            if len(blob) != length:
+            if off + length > len(data):
                 raise SnapshotFormatError("truncated dictionary entry")
-            ids[blob.decode("utf-8")] = tid
+            blobs.append(data[off : off + length])
             off += length
         (triple_count,) = _U32.unpack_from(data, off)
         off += 4
     except struct.error:
         raise SnapshotFormatError("truncated snapshot") from None
+    try:
+        terms = list(map(bytes.decode, blobs))
     except UnicodeDecodeError as exc:
+        # the decode stops at the first bad entry; the error holds its bytes
         raise SnapshotFormatError(
-            f"invalid UTF-8 in dictionary entry {tid}: {exc.reason}"
+            f"invalid UTF-8 in dictionary entry {blobs.index(exc.object)}: {exc.reason}"
         ) from None
+    del blobs
+    ids = dict(zip(terms, range(term_count)))
     if len(ids) != term_count:
         raise SnapshotFormatError("duplicate dictionary string")
     size = 12 * triple_count

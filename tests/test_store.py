@@ -1,17 +1,23 @@
 import io
 import random
 import struct
+import sys
+import threading
 from array import array
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rosie import store
 from rosie.errors import ParseError, SnapshotFormatError
-from rosie.frontend import Term, TriplePattern, Var
+from rosie.frontend import Term, TriplePattern, Var, parse_query
+from rosie.runtime import Policy, run
 from rosie.store import (
     _U32_ARRAY,
     Dataset,
+    Stats,
     load_ntriples,
     make_literal,
     lexical_form,
@@ -23,6 +29,7 @@ from rosie.store import (
 )
 
 from conftest import D_TOY_NT
+from naive_eval import evaluate_query
 
 
 def tp(s, p, o, tp_id=1):
@@ -353,6 +360,7 @@ def assert_columnar(d):
     assert spo == sorted(set(spo))
     assert list(zip(*d.pos)) == sorted((p, o, s) for s, p, o in spo)
     assert list(zip(*d.osp)) == sorted((o, s, p) for s, p, o in spo)
+    assert d.stats == Stats(len(spo), *(Counter(t[k] for t in spo) for k in range(3)))
 
 
 IDS = st.integers(0, 5)
@@ -373,3 +381,102 @@ def test_indexes_are_sorted_u32_columns(triples, seed):
     loaded = snapshot_load(io.BytesIO(snapshot_bytes([b"%d" % i for i in range(6)], section)))
     assert_columnar(loaded)
     assert set(loaded.triples()) == set(triples)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """What the code that derives POS, OSP and the statistics from SPO has
+    built so far: each permutation `_gather` returned and each histogram
+    counted, in order."""
+    made: dict[str, list] = {"permutations": [], "histograms": []}
+    gather = store._gather
+
+    def counting_gather(cols, key):
+        out = gather(cols, key)
+        made["permutations"].append(out)
+        return out
+
+    class CountingCounter(Counter):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made["histograms"].append(self)
+
+    monkeypatch.setattr(store, "_gather", counting_gather)
+    monkeypatch.setattr(store, "Counter", CountingCounter)
+    return made
+
+
+def built_once(made, d) -> bool:
+    """Whether `made` is exactly one build of each of `d`'s POS, OSP and
+    statistics, and those builds are what `d` reads."""
+    return (
+        sorted(map(id, made["permutations"])) == sorted([id(d.pos), id(d.osp)])
+        and list(map(id, made["histograms"]))
+        == [id(d.stats.s_hist), id(d.stats.p_hist), id(d.stats.o_hist)]
+    )
+
+
+def test_load_save_and_reopen_derive_nothing(builds):
+    d = load_ntriples(D_TOY_NT)
+    buf = io.BytesIO()
+    snapshot_save(d, buf)
+    loaded = snapshot_load(io.BytesIO(buf.getvalue()))
+    # a section in another order is sorted as tuples, still without POS
+    terms = [t.encode("utf-8") for t in d.dict.terms()]
+    shuffled = snapshot_load(io.BytesIO(snapshot_bytes(terms, list(d.triples())[::-1])))
+    assert loaded.size == shuffled.size == d.size == 8
+    assert builds == {"permutations": [], "histograms": []}
+
+
+def test_a_scan_derives_only_the_index_it_reads(builds):
+    d = load_ntriples(D_TOY_NT)
+    assert scan(d, tp("?s", "type", "?o")).exact_cardinality == 3
+    (built,) = builds["permutations"]
+    assert builds["histograms"] == []
+    assert built is d.pos
+    # every later read finds what the first one built
+    scan(d, tp("?s", "type", "?o"))
+    scan(d, tp("?s", "?p", "Post"))
+    assert d.stats.count(d.dict.lookup("type"), "P") == 3
+    assert built_once(builds, d)
+
+
+def test_concurrent_first_reads_derive_each_structure_once(builds):
+    # more threads than cores, and a switch after almost every bytecode,
+    # so that first reads overlap the builds they race
+    rng = random.Random(11)
+    d = Dataset.from_strings(
+        (f"s{rng.randrange(300)}", f"p{rng.randrange(4)}", f"s{rng.randrange(300)}")
+        for _ in range(3000)
+    )
+    q = parse_query("SELECT * WHERE { ?x <p1> ?y . ?y <p2> ?z . }")
+    barrier = threading.Barrier(8, timeout=30)
+    bags: dict[int, Counter] = {}
+    errors: list[BaseException] = []
+
+    def first_reader(i: int) -> None:
+        try:
+            barrier.wait()
+            # all in one order, so that every thread races every build
+            for name in ("pos", "osp", "stats"):
+                getattr(d, name)
+            rel, _ = run(q, d, Policy(("static", "eager", "rosie")[i % 3]))
+            bags[i] = Counter(rel.rows)
+        except BaseException as exc:  # reported by the asserts below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=first_reader, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert built_once(builds, d)
+    assert len(bags) == 8 and all(bag == bags[0] for bag in bags.values())
+    assert bags[0] == evaluate_query(q, d)
