@@ -16,9 +16,10 @@ side, one sort of the packed pairs restores the output order. A join of
 a small leaf input (a scan or an intermediate) with a scan whose range
 is much larger binds instead: the scan runs once per distinct key of the
 leaf, and the rows found, sorted back into scan order, are joined as
-above (`bind_inputs` states the rule). Filter and
-slice cut every column alike; distinct and sort gather them by row
-index. Row tuples are built only by `execute`, for the result;
+above (`bind_inputs` states the rule). An OPTIONAL whose right input
+joins two scans first cuts those scans to the keys of its evaluated left
+input (`_reducible` states the rule). Filter and slice cut every column
+alike; distinct and sort gather them by row index. Row tuples are built only by `execute`, for the result;
 `evaluate`, which materializes partial results, builds none.
 
 Row order is deterministic and the same under every policy: an outer join
@@ -35,7 +36,7 @@ import re
 import time
 from array import array
 from dataclasses import dataclass
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, filterfalse, islice, repeat
 from operator import add, eq, floordiv, ge, gt, itemgetter, le, lt, mod, mul, ne
 from typing import Callable, Optional, Union
 
@@ -240,13 +241,20 @@ def bind_inputs(
             length = range_size(d, other.tp)
         if (rows + 1) * RATIO >= length:
             continue
-        atoms = (other.tp.s, other.tp.p, other.tp.o)
-        if not outer and (rows >= length or len(other.schema) < sum(a.is_var() for a in atoms)):
+        if not outer and (rows >= length or not _plain(other)):
             continue
         if isinstance(leaf, FetchIntermediate) and _keys(d.intermediates[leaf.rel_id], shared)[1]:
             continue
         return leaf, other
     return None
+
+
+def _plain(plan: PhysicalPlan) -> bool:
+    """A scan with no repeated variable, whose range length is its row
+    count."""
+    if not isinstance(plan, Scan):
+        return False
+    return len(plan.schema) == sum(a.is_var() for a in (plan.tp.s, plan.tp.p, plan.tp.o))
 
 
 def _known_rows(plan: PhysicalPlan, d: Dataset) -> Optional[int]:
@@ -304,7 +312,12 @@ def execute(
     return Relation(rel.schema, rel.columns, rel.size, rel.rows)
 
 
-def _eval(plan: PhysicalPlan, d: Dataset, budget: _Budget) -> Relation:
+def _eval(
+    plan: PhysicalPlan, d: Dataset, budget: _Budget, cells: Optional[dict] = None
+) -> Relation:
+    """`plan` evaluated to a relation; `cells`, passed down an OPTIONAL's
+    right input, lets the joins that `_reducible` finds drop the rows no
+    left row can match (see `_semi_cells`)."""
     if isinstance(plan, Scan):
         budget.check(_TIMEOUT_CHECK_EVERY)
         return scan(d, plan.tp)
@@ -313,14 +326,26 @@ def _eval(plan: PhysicalPlan, d: Dataset, budget: _Budget) -> Relation:
         if rel is None:
             raise UnresolvedLeaf(f"intermediate R{plan.rel_id} is not registered")
         return rel
-    if isinstance(plan, (HashJoin, LeftOuterJoin)):
-        left = _eval(plan.left, d, budget)
-        right = _eval(plan.right, d, budget)
-        outer = isinstance(plan, LeftOuterJoin)
-        if not outer and plan.shared and left.size <= right.size:
+    if isinstance(plan, HashJoin):
+        if cells and _reducible(plan):
+            # oriented by the unreduced row counts, as the join would be
+            (left, left_size), (right, right_size) = (
+                _semi_scan(side, cells, d, budget) for side in (plan.left, plan.right)
+            )
+        else:
+            left = _eval(plan.left, d, budget)
+            right = _eval(plan.right, d, budget)
+            left_size, right_size = left.size, right.size
+        if plan.shared and left_size <= right_size:
             # the larger input probes an inner join, the right one on a tie
             left, right = right, left
-        return _join(left, right, plan.shared, plan.schema, outer, budget)
+        return _join(left, right, plan.shared, plan.schema, False, budget)
+    if isinstance(plan, LeftOuterJoin):
+        left = _eval(plan.left, d, budget)
+        if not left.size:
+            return Relation(plan.schema, [[] for _ in plan.schema], 0)
+        right = _eval(plan.right, d, budget, _semi_cells(left, plan))
+        return _join(left, right, plan.shared, plan.schema, True, budget)
     if isinstance(plan, BindJoin):
         leaf = _eval(plan.leaf, d, budget)
         found = _lookup(plan, leaf, d, budget)
@@ -329,14 +354,14 @@ def _eval(plan: PhysicalPlan, d: Dataset, budget: _Budget) -> Relation:
         # the scan is the larger input, so its rows lead, as in a hash join
         return _join(found, leaf, plan.shared, plan.schema, False, budget)
     if isinstance(plan, UnionOp):
-        left = _eval(plan.left, d, budget)
-        right = _eval(plan.right, d, budget)
+        left = _eval(plan.left, d, budget, cells)
+        right = _eval(plan.right, d, budget, cells)
         columns = [
             list(chain(_column(left, v), _column(right, v))) for v in plan.schema
         ]
         return Relation(plan.schema, columns, left.size + right.size)
     if isinstance(plan, FilterOp):
-        rel = _eval(plan.child, d, budget)
+        rel = _eval(plan.child, d, budget, cells)
         budget.check(rel.size)
         return _filter(rel, plan.constraint, d)
     if isinstance(plan, Project):
@@ -371,6 +396,59 @@ def _eval(plan: PhysicalPlan, d: Dataset, budget: _Budget) -> Relation:
     raise TypeError(f"unknown plan node {plan!r}")
 
 
+def _reducible(plan: PhysicalPlan) -> bool:
+    """Whether an OPTIONAL's right input holds an inner join of two plain
+    scans (no repeated variable), itself or under unions and filters: the
+    join that `_eval` reduces to the keys of the left input.
+
+    A lone scan is not reduced, since the outer join's hash probe already
+    drops its unmatched rows. Nor is any other join: an inner join's order
+    follows its larger input, known before reduction only for plain scans.
+    """
+    if isinstance(plan, UnionOp):
+        return _reducible(plan.left) or _reducible(plan.right)
+    if isinstance(plan, FilterOp):
+        return _reducible(plan.child)
+    return isinstance(plan, HashJoin) and _plain(plan.left) and _plain(plan.right)
+
+
+def _semi_cells(left: Relation, plan: LeftOuterJoin) -> dict:
+    """The cells a right row of `plan` may hold and still match a row of
+    its evaluated `left` input, for each shared variable bound in every
+    left row (an unbound left cell matches anything); empty when the right
+    input has no join to reduce.
+
+    Each variable restricts on its own, so the reduced right input is a
+    superset of the rows that match; the outer join pairs them exactly.
+    """
+    if not _reducible(plan.right):
+        return {}
+    cells = {}
+    for v in plan.shared:
+        seen = set(_column(left, v))
+        if None not in seen:
+            cells[v] = seen
+    return cells
+
+
+def _semi_scan(plan: Scan, cells: dict, d: Dataset, budget: _Budget) -> tuple[Relation, int]:
+    """The rows of a scan whose cell of each variable in `cells` is one of
+    its cells there, in scan order, and the scan's row count before that.
+
+    Each variable's pass takes a budget check for the rows it reads. The
+    columns stay `array`s, so `_keys` still knows that no cell is unbound.
+    """
+    rel = _eval(plan, d, budget)
+    size = rel.size
+    for k, v in enumerate(rel.schema):
+        if v in cells and rel.size:
+            budget.check(rel.size)
+            keep = list(map(cells[v].__contains__, rel.columns[k]))
+            columns = [array(_U32_ARRAY, compress(col, keep)) for col in rel.columns]
+            rel = Relation(rel.schema, columns, len(columns[k]))
+    return rel, size
+
+
 def _column(rel: Relation, var: str):
     """The cells of `var` in `rel`, all unbound when `rel` lacks it."""
     if var in rel.schema:
@@ -385,6 +463,27 @@ def _gather(columns, idx: list[int]) -> list:
         return [pick(col) for col in columns]
     # itemgetter of fewer than two items returns no tuple
     return [[col[i] for i in idx] for col in columns]
+
+
+def _gather_padded(columns, idx: list[int], n: int) -> list:
+    """Each column's cells at the row indices `idx`, None at the pad index
+    `n`, the all-unbound row one past the last of the n-row columns.
+
+    Appending that row copies n cells of each column. When the columns
+    outnumber the indices, as for an OPTIONAL whose right input is the
+    larger, the pads are gathered as row 0 instead and then unbound.
+    """
+    if n <= len(idx):
+        return _gather([(*col, None) for col in columns], idx)
+    pads = list(compress(range(len(idx)), map(eq, idx, repeat(n))))
+    idx = list(idx)
+    for k in pads:
+        idx[k] = 0
+    gathered = [list(col) for col in _gather(columns, idx)]
+    for col in gathered:
+        for k in pads:
+            col[k] = None
+    return gathered
 
 
 def _take(rel: Relation, idx: list[int]) -> Relation:
@@ -429,13 +528,12 @@ def _join(
             hits = [list(range(build.size))] * probe.size
         probe_idx, build_idx, padded = _index_lists(hits, build.size, outer, budget)
 
-    # an unmatched row of an outer join pairs with the all-unbound build
-    # row appended at index build.size
-    build_columns = build.columns
-    if padded:
-        build_columns = [(*col, None) for col in build_columns]
     probe_cols = dict(zip(probe.schema, _gather(probe.columns, probe_idx)))
-    build_cols = dict(zip(build.schema, _gather(build_columns, build_idx)))
+    if padded:
+        gathered = _gather_padded(build.columns, build_idx, build.size)
+    else:
+        gathered = _gather(build.columns, build_idx)
+    build_cols = dict(zip(build.schema, gathered))
     columns = []
     for v in schema:
         if v not in probe_cols:
@@ -507,16 +605,20 @@ def _pairs(
     packed = array("q")
     for build_part, probe_part in _chunks(list(map(table.get, build_keys)), budget):
         packed.extend(map(add, map(mul, probe_part, repeat(width)), build_part))
-    unmatched = table.keys() - build_keys if outer else ()
-    if unmatched:
-        rows = chain.from_iterable(map(table.__getitem__, unmatched))
-        packed.extend(map(add, map(mul, rows, repeat(width)), repeat(n_build)))
     order = sorted(packed)
-    return (
-        list(map(floordiv, order, repeat(width))),
-        list(map(mod, order, repeat(width))),
-        bool(unmatched),
-    )
+    probe_idx = list(map(floordiv, order, repeat(width)))
+    padded = False
+    if outer:
+        # the probe rows missing from the sorted pairs; packed with the pad
+        # they form a second sorted run, which one merge joins to the first
+        matched = set(probe_idx)
+        if len(matched) < len(probe_keys):
+            unmatched = filterfalse(matched.__contains__, range(len(probe_keys)))
+            pads = map(add, map(mul, unmatched, repeat(width)), repeat(n_build))
+            order = sorted(chain(order, pads))
+            probe_idx = list(map(floordiv, order, repeat(width)))
+            padded = True
+    return probe_idx, list(map(mod, order, repeat(width))), padded
 
 
 def _index_lists(

@@ -23,7 +23,7 @@ from typing import Optional
 
 from .errors import InvalidCollapse
 from .estimator import CardinalityInterval, estimate_tp, tp_bounds
-from .frontend import AND, OPT, OR, Constraint, Query, TriplePattern
+from .frontend import AND, OPT, OR, Constraint, FilterNode, Leaf, OpNode, Query, TriplePattern
 from .store import Stats, TermDictionary
 
 LeafId = int
@@ -175,8 +175,6 @@ def _structure_of(node) -> _Group:
 
 
 def _build_child(node):
-    from .frontend import FilterNode, Leaf, OpNode
-
     if isinstance(node, Leaf):
         return ("leaf", node.tp.id)
     if isinstance(node, FilterNode):
@@ -201,8 +199,6 @@ def _build_child(node):
 
 
 def _same_kind_operands(node, kind) -> list:
-    from .frontend import OpNode
-
     if isinstance(node, OpNode) and node.kind == kind:
         return _same_kind_operands(node.left, kind) + _same_kind_operands(node.right, kind)
     return [node]

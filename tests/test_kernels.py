@@ -12,6 +12,8 @@ runs through `run` under every policy. The equi-join pair builder is
 also checked on its own against a nested loop, index list by index list.
 Bind joins run against the hash joins they replace, row for row, with
 the choice forced through `RATIO`, and the choice rule itself is pinned.
+An OPTIONAL group reduced to the keys of its left input gives the rows of
+the unreduced group in the same order.
 The pinned tests at the end fix the exact row order on the shared
 fixtures.
 """
@@ -118,6 +120,25 @@ WILD = [
     "{ ?x <$P> ?y . } UNION { ?x <$Q> ?z . } OPTIONAL { ?y <$R> ?w . }",
 ]
 
+# OPTIONAL groups that join two patterns, whose scans the outer join
+# reduces to the keys of its left input (`executor._reducible`)
+OPTIONAL_GROUPS = [
+    "?x <$P> ?y . OPTIONAL { ?y <$Q> ?z . ?z <$R> ?w . }",
+    # two shared variables, each restricting on its own
+    "?x <$P> ?y . OPTIONAL { ?x <$Q> ?z . ?y <$R> ?z . }",
+    # ?y unbound in some left rows: it restricts nothing
+    "{ ?x <$P> ?y . } UNION { ?x <$Q> ?z . } OPTIONAL { ?y <$R> ?w . ?w <$P> ?v . }",
+    # a union branch without ?y keeps its rows, padded with unbound ?y
+    "?x <$P> ?y . OPTIONAL { { ?y <$Q> ?z . ?z <$R> ?w . } UNION { ?w <$Q> ?z . ?z <$R> ?v . } }",
+    "?x <$P> ?y . OPTIONAL { { ?y <$Q> ?z . ?z <$R> ?w . } UNION { ?y <$R> ?v . } }",
+    '?x <$P> ?y . OPTIONAL { ?y <$Q> ?z . ?z <$R> ?w . FILTER regex(str(?w), "1") }',
+    # a repeated variable: not reduced
+    "?x <$P> ?y . OPTIONAL { ?y <$Q> ?y . ?y <$R> ?w . }",
+    # an empty left input, and an empty group
+    "?x <nope> ?y . OPTIONAL { ?y <$Q> ?z . ?z <$R> ?w . }",
+    "?x <$P> ?y . OPTIONAL { ?y <$Q> ?z . ?z <nope> ?w . }",
+]
+
 # $F is the filter expression; every expression meets every shape
 FILTERS = [
     "?s ?p ?o . FILTER $F",
@@ -206,6 +227,11 @@ def test_scan_kernels(rows, text):
 
 @PROPERTY
 @given(dense_triples, filled(JOINS))
+# the right input outnumbers the outer join's output, so the unmatched row
+# gathers a right row and then unbinds its cells
+@example([("a", "p0", "b"), ("c", "p0", "d"), ("e1", "p1", "b"),
+          ("e2", "p1", "f"), ("e3", "p1", "g"), ("e4", "p1", "h")],
+         "?x <p0> ?y . OPTIONAL { ?z <p1> ?y . }")
 def test_join_kernels(rows, text):
     check_against_oracle(rows, text)
 
@@ -238,6 +264,56 @@ def test_filter_kernels(expression, rows, text):
 @given(triples, filled(["?s <$P> ?o . OPTIONAL { ?o <$Q> ?z . }"]), st.sampled_from(["ASC", "DESC"]))
 def test_order_by_unbound_cells(rows, text, direction):
     check_against_oracle(rows, text, f"ORDER BY {direction}(?z)")
+
+
+def policy_rows(d: Dataset, q, kind: str | None) -> list[tuple]:
+    """The rows of `q` over `d`, as written (`kind` None) or under the
+    policy `kind`."""
+    if kind is None:
+        return execute(compile_cs(as_written(q.tree), q.projection, q.modifiers, d), d).rows
+    return run(q, d, Policy(kind))[0].rows
+
+
+def unreduced_rows(d: Dataset, q, kind: str | None) -> list[tuple]:
+    """`policy_rows` with no OPTIONAL group reduced to the keys of its left
+    input."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(executor, "_reducible", lambda plan: False)
+        return policy_rows(d, q, kind)
+
+
+@PROPERTY
+@given(dense_triples, filled(OPTIONAL_GROUPS))
+# the reduction leaves <p1> two of its four rows and <p2> all three; the
+# join keeps the order of <p1>, the larger input before the reduction
+@example([("a", "p0", "b"), ("b", "p1", "c1"), ("b", "p1", "c2"),
+          ("e", "p1", "c3"), ("e", "p1", "c4"),
+          ("c2", "p2", "d1"), ("c1", "p2", "d2"), ("c3", "p2", "d3")],
+         "?x <p0> ?y . OPTIONAL { ?y <p1> ?z . ?z <p2> ?w . }")
+# ?y is unbound in the second branch's rows, which match every group row
+@example([("a", "p0", "b"), ("a", "p1", "z"), ("b", "p2", "c"), ("c", "p0", "d"),
+          ("e", "p2", "c"), ("f", "p2", "g"), ("g", "p0", "h")],
+         "{ ?x <p0> ?y . } UNION { ?x <p1> ?z . } OPTIONAL { ?y <p2> ?w . ?w <p0> ?v . }")
+def test_optional_group_reduction(rows, text):
+    check_against_oracle(rows, text)
+    d = Dataset.from_strings(rows)
+    q = parse_query(f"SELECT * WHERE {{ {text} }}")
+    for kind in (None, "static", "eager", "rosie"):
+        assert policy_rows(d, q, kind) == unreduced_rows(d, q, kind), (kind, text)
+
+
+def test_optional_group_reduction_choice():
+    d = Dataset.from_strings([("s0", "p0", "s1")])
+    reducible = []
+    for text in OPTIONAL_GROUPS:
+        q = parse_query("SELECT * WHERE { %s }" % Template(text).substitute(P="p0", Q="p1", R="p2"))
+        plan = compile_cs(as_written(q.tree), None, None, d)
+        assert isinstance(plan, LeftOuterJoin)
+        reducible.append(executor._reducible(plan.right))
+    assert reducible == [True] * 6 + [False] + [True] * 2
+    # a lone scan on the right is left to the outer join's hash probe
+    q = parse_query("SELECT * WHERE { ?x <p0> ?y . OPTIONAL { { ?y <p1> ?z . } UNION { ?y <p2> ?z . } } }")
+    assert not executor._reducible(compile_cs(as_written(q.tree), None, None, d).right)
 
 
 def nested_loop_pairs(probe_keys, build_keys, outer: bool) -> tuple[list, list]:

@@ -18,7 +18,7 @@ from rosie.datagen import (
     uncorrelated_uniform,
 )
 from rosie.errors import QueryTimeout
-from rosie.executor import BindJoin, compile_cs
+from rosie.executor import BindJoin, LeftOuterJoin, _reducible, compile_cs
 from rosie.estimator import CardinalityInterval
 from rosie.frontend import AND, OPT, Leaf, Modifiers, OpNode, Query, parse_query
 from rosie.runtime import (
@@ -488,6 +488,22 @@ class TestTimeoutAndValidation:
         plan = compile_cs(plan_cs(build_qrg(q, d.stats, d.dict)), None, None, d)
         assert isinstance(plan, BindJoin)
         index_lists_bytes = 2 * left * right * struct.calcsize("P")
+        assert peak_before_timeout(monkeypatch, q, d) < index_lists_bytes / 20
+
+    def test_hot_key_join_in_optional_group_stops_before_its_pair_lists(self, monkeypatch):
+        # The left input holds the one key of the group's two scans, so
+        # their reduction to its keys drops no row, and their join is a
+        # product that must still grow chunk by chunk.
+        rows = 4000
+        d = Dataset.from_strings(
+            [(f"a{i}", "p", "k") for i in range(10)]
+            + [("k", "q", f"b{i}") for i in range(rows)]
+            + [("k", "r", f"c{i}") for i in range(rows)]
+        )
+        q = parse_query("SELECT * WHERE { ?a <p> ?k . OPTIONAL { ?k <q> ?b . ?k <r> ?c . } }")
+        plan = compile_cs(plan_cs(build_qrg(q, d.stats, d.dict)), None, None, d)
+        assert isinstance(plan, LeftOuterJoin) and _reducible(plan.right)
+        index_lists_bytes = 2 * rows * rows * struct.calcsize("P")
         assert peak_before_timeout(monkeypatch, q, d) < index_lists_bytes / 20
 
     def test_policy_validation(self):
