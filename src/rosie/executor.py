@@ -19,8 +19,9 @@ leaf, and the rows found, sorted back into scan order, are joined as
 above (`bind_inputs` states the rule). An OPTIONAL whose right input
 joins two scans first cuts those scans to the keys of its evaluated left
 input (`_reducible` states the rule). Filter and slice cut every column
-alike; distinct and sort gather them by row index. Row tuples are built only by `execute`, for the result;
-`evaluate`, which materializes partial results, builds none.
+alike; distinct and sort gather them by row index. Row tuples are built
+only by `execute`, for the result; `evaluate`, which materializes partial
+results, builds none.
 
 Row order is deterministic and the same under every policy: an outer join
 gives its left rows in order, an inner join the rows of its larger input,
@@ -62,6 +63,12 @@ _TIMEOUT_CHECK_EVERY = 4096
 # rows, and the bind join's own set-up about one lookup, as measured on
 # joins of 0 to 1,024 keys against 64 to 62,500 rows (see `bind_inputs`).
 RATIO = 64
+
+# An OPTIONAL group's scan is cut to the left input's keys only when at
+# most 3 in 4 of an evenly spaced sample of about SAMPLE of its rows match
+# them: a cut that keeps more costs more than the join rows it saves (see
+# `_semi_scan`).
+SAMPLE = 64
 
 
 @dataclass
@@ -435,17 +442,24 @@ def _semi_scan(plan: Scan, cells: dict, d: Dataset, budget: _Budget) -> tuple[Re
     """The rows of a scan whose cell of each variable in `cells` is one of
     its cells there, in scan order, and the scan's row count before that.
 
-    Each variable's pass takes a budget check for the rows it reads. The
-    columns stay `array`s, so `_keys` still knows that no cell is unbound.
+    A variable cuts only when a sample of the scan's rows shows it dropping
+    more than a quarter of them (see SAMPLE); a hot key or a left input
+    holding most keys leaves the rows to the join. Each cut takes a budget
+    check for the rows it reads. The columns stay `array`s, so `_keys`
+    still knows that no cell is unbound.
     """
     rel = _eval(plan, d, budget)
     size = rel.size
     for k, v in enumerate(rel.schema):
-        if v in cells and rel.size:
-            budget.check(rel.size)
-            keep = list(map(cells[v].__contains__, rel.columns[k]))
-            columns = [array(_U32_ARRAY, compress(col, keep)) for col in rel.columns]
-            rel = Relation(rel.schema, columns, len(columns[k]))
+        if v not in cells or not rel.size:
+            continue
+        sample = rel.columns[k][:: max(1, rel.size // SAMPLE)]
+        if sum(map(cells[v].__contains__, sample)) * 4 > len(sample) * 3:
+            continue
+        budget.check(rel.size)
+        keep = list(map(cells[v].__contains__, rel.columns[k]))
+        columns = [array(_U32_ARRAY, compress(col, keep)) for col in rel.columns]
+        rel = Relation(rel.schema, columns, len(columns[k]))
     return rel, size
 
 
@@ -463,27 +477,6 @@ def _gather(columns, idx: list[int]) -> list:
         return [pick(col) for col in columns]
     # itemgetter of fewer than two items returns no tuple
     return [[col[i] for i in idx] for col in columns]
-
-
-def _gather_padded(columns, idx: list[int], n: int) -> list:
-    """Each column's cells at the row indices `idx`, None at the pad index
-    `n`, the all-unbound row one past the last of the n-row columns.
-
-    Appending that row copies n cells of each column. When the columns
-    outnumber the indices, as for an OPTIONAL whose right input is the
-    larger, the pads are gathered as row 0 instead and then unbound.
-    """
-    if n <= len(idx):
-        return _gather([(*col, None) for col in columns], idx)
-    pads = list(compress(range(len(idx)), map(eq, idx, repeat(n))))
-    idx = list(idx)
-    for k in pads:
-        idx[k] = 0
-    gathered = [list(col) for col in _gather(columns, idx)]
-    for col in gathered:
-        for k in pads:
-            col[k] = None
-    return gathered
 
 
 def _take(rel: Relation, idx: list[int]) -> Relation:
@@ -528,12 +521,13 @@ def _join(
             hits = [list(range(build.size))] * probe.size
         probe_idx, build_idx, padded = _index_lists(hits, build.size, outer, budget)
 
-    probe_cols = dict(zip(probe.schema, _gather(probe.columns, probe_idx)))
+    # an unmatched row of an outer join pairs with the all-unbound build
+    # row appended at index build.size
+    build_columns = build.columns
     if padded:
-        gathered = _gather_padded(build.columns, build_idx, build.size)
-    else:
-        gathered = _gather(build.columns, build_idx)
-    build_cols = dict(zip(build.schema, gathered))
+        build_columns = [(*col, None) for col in build_columns]
+    probe_cols = dict(zip(probe.schema, _gather(probe.columns, probe_idx)))
+    build_cols = dict(zip(build.schema, _gather(build_columns, build_idx)))
     columns = []
     for v in schema:
         if v not in probe_cols:

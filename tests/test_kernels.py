@@ -227,8 +227,8 @@ def test_scan_kernels(rows, text):
 
 @PROPERTY
 @given(dense_triples, filled(JOINS))
-# the right input outnumbers the outer join's output, so the unmatched row
-# gathers a right row and then unbinds its cells
+# the right input outnumbers the outer join's output, and the unmatched
+# row takes the pad
 @example([("a", "p0", "b"), ("c", "p0", "d"), ("e1", "p1", "b"),
           ("e2", "p1", "f"), ("e3", "p1", "g"), ("e4", "p1", "h")],
          "?x <p0> ?y . OPTIONAL { ?z <p1> ?y . }")
@@ -314,6 +314,31 @@ def test_optional_group_reduction_choice():
     # a lone scan on the right is left to the outer join's hash probe
     q = parse_query("SELECT * WHERE { ?x <p0> ?y . OPTIONAL { { ?y <p1> ?z . } UNION { ?y <p2> ?z . } } }")
     assert not executor._reducible(compile_cs(as_written(q.tree), None, None, d).right)
+
+
+@pytest.mark.parametrize(
+    "keys, kept",
+    [
+        # a fifth of the rows match: the scan is cut to them
+        ([f"u{i}" for i in range(0, 200, 5)], 40),
+        # nearly every row matches, or one hot key matches every row: the
+        # sample shows no quarter dropping, so the rows go to the join
+        ([f"u{i}" for i in range(190)], 200),
+        (["hot"], 200),
+    ],
+)
+def test_optional_group_scan_cut_only_when_its_sample_drops_rows(keys, kept):
+    rows = [(f"u{i}", "p1", f"z{i}") for i in range(200)]
+    rows += [("hot", "p2", f"z{i}") for i in range(200)]
+    d = Dataset.from_strings(rows)
+    pred = "p2" if keys == ["hot"] else "p1"
+    plan = compile_cs(as_written(parse_query(f"SELECT * WHERE {{ ?y <{pred}> ?z . }}").tree), None, None, d)
+    assert isinstance(plan, Scan)
+    cells = {"y": {d.dict.lookup(k) for k in keys}}
+    rel, size = executor._semi_scan(plan, cells, d, _Budget(None))
+    assert (rel.size, size) == (kept, 200)
+    full = scan(d, plan.tp).rows
+    assert rel.rows == (full if kept == size else [row for row in full if row[0] in cells["y"]])
 
 
 def nested_loop_pairs(probe_keys, build_keys, outer: bool) -> tuple[list, list]:
