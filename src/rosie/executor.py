@@ -12,11 +12,15 @@ A scan's columns are slices of the store's permutation arrays. A join
 pairs probe rows with build rows as two index lists and gathers each
 output column once over one of them. When every key cell is bound, the
 smaller input is hashed, outer joins included; when that is the probe
-side, one sort of the packed pairs restores the output order. A join of
-a small leaf input (a scan or an intermediate) with a scan whose range
-is much larger binds instead: the scan runs once per distinct key of the
-leaf, and the rows found, sorted back into scan order, are joined as
-above (`bind_inputs` states the rule). An OPTIONAL whose right input
+side, one sort of the packed pairs restores the output order. A join on
+one variable whose inputs hold VECTOR_ROWS rows or more, over keys that
+span at most SPAN ids per row, builds the same pairs in numpy, imported
+on that first join so that processes running only small joins never
+load it (`_vector_pairs`); row order is unchanged. A join of a small
+leaf input (a scan or an intermediate) with a scan whose range is much
+larger binds instead: the scan runs once per distinct key of the leaf,
+and the rows found, sorted back into scan order, are joined as above
+(`bind_inputs` states the rule). An OPTIONAL whose right input
 joins two scans first cuts those scans to the keys of its evaluated left
 input (`_reducible` states the rule). Filter and slice cut every column
 alike; distinct and sort gather them by row index. Row tuples are built
@@ -69,6 +73,16 @@ RATIO = 64
 # them: a cut that keeps more costs more than the join rows it saves (see
 # `_semi_scan`).
 SAMPLE = 64
+
+# An equi-join on one variable whose two inputs hold VECTOR_ROWS rows or
+# more pairs them in numpy (see `_vector_pairs`); on smaller joins numpy's
+# fixed cost per call, and its one-time import, outweigh what it saves.
+VECTOR_ROWS = 16384
+
+# ... provided the keys of both inputs span at most SPAN ids per input
+# row: the dense count over the span holds 16 bytes per id, and at wider
+# spans it costs more time than the numpy path saves.
+SPAN = 8
 
 
 @dataclass
@@ -470,13 +484,42 @@ def _column(rel: Relation, var: str):
     return [None] * rel.size
 
 
-def _gather(columns, idx: list[int]) -> list:
-    """Each column's cells at the row indices `idx`, in that order."""
+def _gather(columns, idx, pad: bool = False) -> list:
+    """Each column's cells at the row indices `idx`, in that order; with
+    `pad`, the index one past the end of the columns gives an unbound cell
+    (see `_index_lists`)."""
+    if not isinstance(idx, list):
+        return _vector_gather(columns, idx, pad)
+    if pad:
+        columns = [(*col, None) for col in columns]
     if len(idx) > 1:
         pick = itemgetter(*idx)
         return [pick(col) for col in columns]
     # itemgetter of fewer than two items returns no tuple
     return [[col[i] for i in idx] for col in columns]
+
+
+def _vector_gather(columns, idx, pad: bool) -> list:
+    """`_gather` over a numpy index array (see `_vector_pairs`). An `array`
+    column is gathered in numpy: it stays an `array`, or with `pad` it
+    becomes a list with None in the pad's rows."""
+    import numpy as np
+
+    listed = None
+    out = []
+    for col in columns:
+        if not isinstance(col, array):
+            listed = idx.tolist() if listed is None else listed
+            out += _gather([col], listed, pad)
+            continue
+        cells = np.frombuffer(col, np.uint32)
+        if not pad:
+            out.append(array(_U32_ARRAY, cells[idx].tobytes()))
+            continue
+        cells = np.append(cells, 0)[idx].astype(object)
+        cells[idx == len(col)] = None
+        out.append(cells.tolist())
+    return out
 
 
 def _take(rel: Relation, idx: list[int]) -> Relation:
@@ -513,7 +556,10 @@ def _join(
     probe_keys, probe_unbound = _keys(probe, shared)
     build_keys, build_unbound = _keys(build, shared)
     if shared and not (probe_unbound or build_unbound):
-        probe_idx, build_idx, padded = _pairs(probe_keys, build_keys, outer, budget)
+        pairs = None
+        if len(shared) == 1 and probe.size + build.size >= VECTOR_ROWS:
+            pairs = _vector_pairs(probe_keys, build_keys, outer, budget)
+        probe_idx, build_idx, padded = pairs or _pairs(probe_keys, build_keys, outer, budget)
     else:
         if shared:
             hits = _matches(probe_keys, build_keys, len(shared) == 1, bool(build_unbound), budget)
@@ -522,12 +568,9 @@ def _join(
         probe_idx, build_idx, padded = _index_lists(hits, build.size, outer, budget)
 
     # an unmatched row of an outer join pairs with the all-unbound build
-    # row appended at index build.size
-    build_columns = build.columns
-    if padded:
-        build_columns = [(*col, None) for col in build_columns]
+    # row at index build.size
     probe_cols = dict(zip(probe.schema, _gather(probe.columns, probe_idx)))
-    build_cols = dict(zip(build.schema, _gather(build_columns, build_idx)))
+    build_cols = dict(zip(build.schema, _gather(build.columns, build_idx, padded)))
     columns = []
     for v in schema:
         if v not in probe_cols:
@@ -613,6 +656,62 @@ def _pairs(
             probe_idx = list(map(floordiv, order, repeat(width)))
             padded = True
     return probe_idx, list(map(mod, order, repeat(width))), padded
+
+
+def _vector_pairs(probe_keys, build_keys, outer: bool, budget: _Budget) -> Optional[tuple]:
+    """`_pairs` in numpy, imported here on first use: the same pairs in the
+    same order, as two index arrays, or None when the keys span more than
+    SPAN ids per input row.
+
+    One sort groups the build rows by key, in build order within a key,
+    and a dense count over the span of both sides' keys gives each probe
+    row its group. The pairs are expanded _TIMEOUT_CHECK_EVERY at a time,
+    with a budget check before each part, so a blow-up times out before
+    its arrays exist.
+    """
+    import numpy as np
+
+    probe, build = (
+        np.frombuffer(k, np.uint32) if isinstance(k, array) else np.array(k, np.int64)
+        for k in (probe_keys, build_keys)
+    )
+    n_build = len(build)
+    sides = [k for k in (probe, build) if len(k)]
+    lo = min((int(k.min()) for k in sides), default=0)
+    span = max((int(k.max()) + 1 - lo for k in sides), default=0)
+    if span > SPAN * (len(probe) + n_build):
+        return None
+    key = build.astype(np.int64) - lo
+    # slot `span` holds no key and starts at n_build, where `order` has the pad
+    count = np.bincount(key, minlength=span + 1)
+    first = np.cumsum(count) - count
+    # each build row in key order and build order within, as a stable
+    # argsort would give them, but from one far faster plain sort
+    order = np.append(np.sort(key * n_build + np.arange(n_build)) % max(n_build, 1), n_build)
+    slot = probe.astype(np.int64) - lo
+    width = count[slot]
+    padded = outer and not width.all()
+    if padded:
+        unmatched = width == 0
+        slot[unmatched] = span
+        width[unmatched] = 1
+    rows = np.flatnonzero(width)
+    width = width[rows]
+    end = np.cumsum(width)
+    # the build position of the pair at pair position k of a row is shift + k
+    shift = first[slot[rows]] - (end - width)
+    total = int(end[-1]) if len(end) else 0
+    probe_parts, build_parts = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for p0 in range(0, total, _TIMEOUT_CHECK_EVERY):
+        budget.check(_TIMEOUT_CHECK_EVERY)
+        p1 = min(p0 + _TIMEOUT_CHECK_EVERY, total)
+        # the rows holding the part's first and last pair, and their share
+        r0, r1 = np.searchsorted(end, (p0, p1 - 1), side="right").tolist()
+        part = slice(r0, r1 + 1)
+        share = np.minimum(end[part], p1) - np.maximum(end[part] - width[part], p0)
+        probe_parts.append(np.repeat(rows[part], share))
+        build_parts.append(order[np.repeat(shift[part], share) + np.arange(p0, p1)])
+    return np.concatenate(probe_parts), np.concatenate(build_parts), padded
 
 
 def _index_lists(

@@ -538,6 +538,13 @@ def _extent(d: Dataset, ids: list) -> tuple[Columns, tuple[int, int, int], int, 
     return cols, order, lo, hi
 
 
+def scan_index(d: Dataset, tp) -> Columns:
+    """The permutation a scan of `tp` reads, as `_extent` picks it, read
+    (and so built, on a fresh dataset) without looking up a range."""
+    name, _ = _INDEX[tuple(not atom.is_var() for atom in (tp.s, tp.p, tp.o))]
+    return getattr(d, name)
+
+
 def scan_order(tp) -> tuple[str, ...]:
     """The variables of `tp` whose cells a scan's rows ascend in, most
     significant first: rows compare as the tuples of these cells."""

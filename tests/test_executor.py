@@ -1,10 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from rosie.errors import UnresolvedLeaf
 from rosie.executor import (
+    VECTOR_ROWS,
     FetchIntermediate,
     HashJoin,
     Project,
@@ -300,3 +305,33 @@ class TestDifferentialSmoke:
             assert got == expected, f"mismatch for {text}"
             checked += 1
         assert checked == 70
+
+
+# imports the package, its CLI and its runtime, runs a two-pattern star
+# whose join inputs hold argv[1] rows together, and prints whether numpy
+# was loaded
+STAR_SCRIPT = """
+import sys
+import rosie, rosie.cli, rosie.runtime
+from rosie.frontend import parse_query
+from rosie.runtime import Policy, run
+from rosie.store import Dataset
+half = int(sys.argv[1]) // 2
+d = Dataset.from_strings([(f"e{i}", p, f"o{i}") for p in ("a", "b") for i in range(half)])
+rel, _ = run(parse_query("SELECT * WHERE { ?s <a> ?x . ?s <b> ?y . }"), d, Policy("rosie"))
+assert len(rel.rows) == half
+print("numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("rows, loaded", [(1000, False), (VECTOR_ROWS, True)])
+def test_numpy_is_imported_only_by_a_join_past_the_gate(rows, loaded):
+    # numpy's import costs a process about 11 MB and 0.1 s, so a process
+    # whose joins all stay under VECTOR_ROWS rows never pays it
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    out = subprocess.run(
+        [sys.executable, "-c", STAR_SCRIPT, str(rows)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert out.stdout.split() == [str(loaded)]

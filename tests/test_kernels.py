@@ -13,7 +13,9 @@ also checked on its own against a nested loop, index list by index list.
 Bind joins run against the hash joins they replace, row for row, with
 the choice forced through `RATIO`, and the choice rule itself is pinned.
 An OPTIONAL group reduced to the keys of its left input gives the rows of
-the unreduced group in the same order.
+the unreduced group in the same order. The numpy pair builder of large
+equi-joins, forced on through `VECTOR_ROWS`, gives the Python kernel's
+rows in the same order, and its pairs match the nested loop's.
 The pinned tests at the end fix the exact row order on the shared
 fixtures.
 """
@@ -23,6 +25,7 @@ from __future__ import annotations
 import inspect
 from array import array
 from collections import Counter
+from contextlib import contextmanager
 from string import Template
 
 import pytest
@@ -39,6 +42,7 @@ from rosie.executor import (
     Scan,
     _Budget,
     _pairs,
+    _vector_pairs,
     bind_inputs,
     compile_cs,
     evaluate,
@@ -232,14 +236,27 @@ def test_scan_kernels(rows, text):
 @example([("a", "p0", "b"), ("c", "p0", "d"), ("e1", "p1", "b"),
           ("e2", "p1", "f"), ("e3", "p1", "g"), ("e4", "p1", "h")],
          "?x <p0> ?y . OPTIONAL { ?z <p1> ?y . }")
+# keys repeat on both sides of the join
+@example([("a", "p0", "k1"), ("b", "p0", "k2"), ("c", "p0", "k1"), ("d", "p0", "k1"),
+          ("k1", "p1", "x"), ("k2", "p1", "y"), ("k1", "p1", "z"), ("k1", "p1", "w")],
+         "?x <p0> ?y . ?y <p1> ?z .")
+# an OPTIONAL whose every left row finds a match: no pad
+@example([("a", "p0", "b"), ("c", "p0", "b"), ("e1", "p1", "b"), ("e2", "p1", "b")],
+         "?x <p0> ?y . OPTIONAL { ?z <p1> ?y . }")
 def test_join_kernels(rows, text):
     check_against_oracle(rows, text)
+    check_vector_kernel(rows, text)
 
 
 @PROPERTY
 @given(dense_triples, filled(WILD))
+# both branches bind ?y: the union's key column is a list with no unbound
+# cell, which the numpy pair builder takes
+@example([("a", "p0", "b"), ("c", "p1", "b"), ("d", "p1", "e"), ("b", "p2", "f"), ("e", "p2", "g")],
+         "{ ?x <p0> ?y . } UNION { ?x <p1> ?y . } ?y <p2> ?w .")
 def test_join_kernels_with_unbound_keys(rows, text):
     check_against_oracle(rows, text)
+    check_vector_kernel(rows, text)
 
 
 @PROPERTY
@@ -282,6 +299,30 @@ def unreduced_rows(d: Dataset, q, kind: str | None) -> list[tuple]:
         return policy_rows(d, q, kind)
 
 
+@contextmanager
+def vector_kernel():
+    """Every equi-join on one variable whose key cells are all bound pairs
+    its rows in numpy, however small its inputs and wide its key span."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(executor, "VECTOR_ROWS", 0)
+        mp.setattr(executor, "SPAN", NEVER)
+        yield
+
+
+def check_vector_kernel(rows, text: str) -> None:
+    """The query `text` over `rows` with the numpy pair builder, as written
+    and under every policy: the oracle's bag, in the order of the Python
+    kernel's rows."""
+    d = Dataset.from_strings(rows)
+    q = parse_query(f"SELECT * WHERE {{ {text} }}")
+    expected = evaluate_query(q, d)
+    for kind in (None, "static", "eager", "rosie"):
+        with vector_kernel():
+            got = policy_rows(d, q, kind)
+        assert Counter(got) == expected, (kind, text)
+        assert got == policy_rows(d, q, kind), (kind, text)
+
+
 @PROPERTY
 @given(dense_triples, filled(OPTIONAL_GROUPS))
 # the reduction leaves <p1> two of its four rows and <p2> all three; the
@@ -300,6 +341,7 @@ def test_optional_group_reduction(rows, text):
     q = parse_query(f"SELECT * WHERE {{ {text} }}")
     for kind in (None, "static", "eager", "rosie"):
         assert policy_rows(d, q, kind) == unreduced_rows(d, q, kind), (kind, text)
+    check_vector_kernel(rows, text)
 
 
 def test_optional_group_reduction_choice():
@@ -358,12 +400,27 @@ def nested_loop_pairs(probe_keys, build_keys, outer: bool) -> tuple[list, list]:
 join_keys = st.lists(st.integers(min_value=0, max_value=5), max_size=40)
 
 
+class CountingBudget(_Budget):
+    """A budget without a deadline that counts its checks."""
+
+    def __init__(self):
+        super().__init__(None)
+        self.checks = 0
+
+    def check(self, amount: int = 1) -> None:
+        self.checks += 1
+
+
 @PROPERTY
 @given(join_keys, join_keys, st.booleans(), st.booleans())
 @example([], [1, 1], True, False)
 @example([1, 1], [], True, False)
 @example([], [], True, True)
 @example([2, 1, 9, 1], [1, 3, 1, 2, 1, 2], True, True)
+# many build rows per key, so an unstable sort would reorder them; with
+# and without an unmatched probe row
+@example([0, 1, 2, 1], [k % 3 for k in range(60)], True, True)
+@example([7, 0, 7], [k % 3 for k in range(60)], True, False)
 def test_pair_builder_against_nested_loop(probe_keys, build_keys, outer, columns):
     # either side may be the larger, so both the lookup and the packed-sort
     # branch run; a store column is an array, an intermediate's a list
@@ -372,6 +429,26 @@ def test_pair_builder_against_nested_loop(probe_keys, build_keys, outer, columns
     probe_idx, build_idx, padded = _pairs(probe_keys, build_keys, outer, _Budget(None))
     assert (probe_idx, build_idx) == nested_loop_pairs(probe_keys, build_keys, outer)
     assert padded == (len(build_keys) in build_idx)
+    # the numpy builder gives the same pairs whatever the size of the parts
+    # it grows them in, with one budget check before each part
+    for part in (1, 3, executor._TIMEOUT_CHECK_EVERY):
+        budget = CountingBudget()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(executor, "_TIMEOUT_CHECK_EVERY", part)
+            vector_probe, vector_build, vector_padded = _vector_pairs(
+                probe_keys, build_keys, outer, budget
+            )
+        assert (vector_probe.tolist(), vector_build.tolist()) == (probe_idx, build_idx)
+        assert vector_padded == padded
+        assert budget.checks == -(-len(probe_idx) // part)
+
+
+def test_vector_pairs_only_over_narrow_key_spans():
+    # keys spanning SPAN ids per input row are paired in numpy; one id more
+    # leaves the join to the Python kernel
+    for span, paired in ((2 * executor.SPAN, True), (2 * executor.SPAN + 1, False)):
+        probe, build = array("I", [5]), array("I", [5 + span - 1])
+        assert (_vector_pairs(probe, build, True, _Budget(None)) is not None) == paired
 
 
 @PROPERTY
@@ -465,6 +542,9 @@ def check_bind_against_hash(d: Dataset, cs, q) -> BindJoin | None:
     bound, hashed = bound_and_hashed(d, cs, q)
     rows = execute(bound, d).rows
     assert rows == execute(hashed, d).rows
+    with vector_kernel():
+        assert execute(bound, d).rows == rows
+        assert execute(hashed, d).rows == rows
     assert Counter(rows) == evaluate_query(q, d)
     for join in bind_joins(bound):
         assert isinstance(join.leaf, (Scan, FetchIntermediate))

@@ -29,7 +29,7 @@ from rosie.runtime import (
     run,
     should_materialize,
 )
-from rosie import runtime
+from rosie import executor, runtime
 from rosie.planner import RelationLeaf, plan_cs
 from rosie.qrg import build_qrg, collapse_materialized
 from rosie.runtime import profile_unit
@@ -426,7 +426,11 @@ class TestConcurrentQueries:
 def peak_before_timeout(monkeypatch, q, d) -> int:
     """The `tracemalloc` peak of a static run of `q` that times out under a
     clock advancing 1 ms per read, so after the same number of budget
-    checks on any machine."""
+    checks on any machine. numpy, which a join of `executor.VECTOR_ROWS`
+    rows or more imports on first use, is loaded before tracing starts:
+    its modules are not the join's pair arrays."""
+    import numpy  # noqa: F401
+
     reads = itertools.count()
     monkeypatch.setattr(time, "monotonic", lambda: next(reads) / 1000.0)
     tracemalloc.start()
@@ -505,6 +509,41 @@ class TestTimeoutAndValidation:
         assert isinstance(plan, LeftOuterJoin) and _reducible(plan.right)
         index_lists_bytes = 2 * rows * rows * struct.calcsize("P")
         assert peak_before_timeout(monkeypatch, q, d) < index_lists_bytes / 20
+
+    @pytest.mark.parametrize(
+        "case, args",
+        [
+            (test_hot_key_blowup_stops_before_its_pair_lists, (False,)),
+            (test_hot_key_blowup_stops_before_its_pair_lists, (True,)),
+            (test_hot_key_bind_join_stops_before_its_pair_lists, (False,)),
+            (test_hot_key_bind_join_stops_before_its_pair_lists, (True,)),
+            (test_hot_key_join_in_optional_group_stops_before_its_pair_lists, ()),
+        ],
+        ids=["blowup", "blowup-optional", "bind", "bind-optional", "optional-group"],
+    )
+    def test_hot_key_pair_lists_on_the_vector_path(self, monkeypatch, case, args):
+        # the hot-key cases above, with every equi-join on one variable
+        # paired in numpy: its pair arrays grow part by part as well
+        monkeypatch.setattr(executor, "VECTOR_ROWS", 0)
+        case(self, monkeypatch, *args)
+
+    def test_one_time_builds_stay_off_the_query_clock(self, monkeypatch):
+        # POS takes 0.2 s to build here, and the query itself far less than
+        # its 100 ms timeout; the build happens before the clock starts
+        pos = Dataset.__dict__["pos"]
+        build = pos.build
+
+        def slow(d):
+            time.sleep(0.2)
+            return build(d)
+
+        monkeypatch.setattr(pos, "build", slow)
+        d = load_ntriples(D_TOY_NT)
+        q = parse_query("SELECT ?x ?c WHERE { ?x <type> <Post> . ?x <content> ?c . }")
+        rel, trace = run(q, d, Policy("rosie"), timeout_ms=100)
+        assert "pos" in d.__dict__
+        assert bag(rel) == evaluate_query(q, d)
+        assert trace.total_ms < 200
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
