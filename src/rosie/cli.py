@@ -179,13 +179,13 @@ def cmd_bench(db, queries_dir, policies, runs, tau, sigma) -> None:
     policy_list = _policies([p.strip() for p in policies.split(",") if p.strip()], tau, sigma)
     try:
         dataset = _load_dataset(db)
+        files = sorted(
+            p for p in Path(queries_dir).iterdir()
+            if p.suffix in (".rq", ".sparql", ".txt")
+        )
     except (OSError, SnapshotFormatError) as exc:
         click.echo(f"io error: {exc}", err=True)
         sys.exit(2)
-    files = sorted(
-        p for p in Path(queries_dir).iterdir()
-        if p.suffix in (".rq", ".sparql", ".txt")
-    )
     if not files:
         click.echo("no query files found", err=True)
         sys.exit(5)

@@ -11,21 +11,21 @@ value.
 A scan's columns are slices of the store's permutation arrays. A join
 pairs probe rows with build rows as two index lists and gathers each
 output column once over one of them. When every key cell is bound, the
-smaller input is hashed, outer joins included; when that is the probe
-side, one sort of the packed pairs restores the output order. A join on
-one variable whose inputs hold VECTOR_ROWS rows or more, over keys that
-span at most SPAN ids per row, builds the same pairs in numpy, imported
-on that first join so that processes running only small joins never
-load it (`_vector_pairs`); row order is unchanged. A join of a small
-leaf input (a scan or an intermediate) with a scan whose range is much
-larger binds instead: the scan runs once per distinct key of the leaf,
-and the rows found, sorted back into scan order, are joined as above
-(`bind_inputs` states the rule). An OPTIONAL whose right input
-joins two scans first cuts those scans to the keys of its evaluated left
-input (`_reducible` states the rule). Filter and slice cut every column
-alike; distinct and sort gather them by row index. Row tuples are built
-only by `execute`, for the result; `evaluate`, which materializes partial
-results, builds none.
+build input is hashed and each probe key looks its rows up: an inner
+join's orientation makes the build input the smaller one, and an outer
+join hashes its right input. A join on one variable whose inputs hold
+VECTOR_ROWS rows or more, over keys that span at most SPAN ids per row,
+builds the same pairs in numpy, imported on that first join so that
+processes running only small joins never load it (`_vector_pairs`); row
+order is unchanged. A join of a small leaf input (a scan or an
+intermediate) with a scan whose range is much larger binds instead: the
+scan runs once per distinct key of the leaf, and the rows found, sorted
+back into scan order, are joined as above (`bind_inputs` states the
+rule). An OPTIONAL whose right input joins two scans first cuts those
+scans to the keys of its evaluated left input (`_reducible` states the
+rule). Filter and slice cut every column alike; distinct and sort gather
+them by row index. Row tuples are built only by `execute`, for the
+result; `evaluate`, which materializes partial results, builds none.
 
 Row order is deterministic and the same under every policy: an outer join
 gives its left rows in order, an inner join the rows of its larger input,
@@ -41,8 +41,8 @@ import re
 import time
 from array import array
 from dataclasses import dataclass
-from itertools import chain, compress, filterfalse, islice, repeat
-from operator import add, eq, floordiv, ge, gt, itemgetter, le, lt, mod, mul, ne
+from itertools import chain, compress, islice, repeat
+from operator import eq, ge, gt, itemgetter, le, lt, mul, ne
 from typing import Callable, Optional, Union
 
 from .errors import QueryTimeout, UnresolvedLeaf
@@ -625,37 +625,12 @@ def _pairs(
     build order within, and whether a probe row took the pad (as in
     `_index_lists`).
 
-    The smaller input is hashed. When that is the build side, each probe
-    key looks its rows up. When it is the probe side, as for an OPTIONAL
-    whose right input is the larger, the build keys stream through the
-    probe table once, and one sort of the pairs packed as
-    `probe_row * (n_build + 1) + build_row` restores probe order; an
-    unmatched probe row packs with the pad index n_build.
+    The build keys are hashed and each probe key looks its rows up. An
+    inner join's orientation makes the build input the smaller one; an
+    OPTIONAL hashes its right input.
     """
-    n_build = len(build_keys)
-    if len(probe_keys) >= n_build:
-        table = _table(build_keys)
-        return _index_lists(list(map(table.get, probe_keys)), n_build, outer, budget)
-    table = _table(probe_keys)
-    width = n_build + 1
-    # 8 bytes a pair while it grows, not an int object each
-    packed = array("q")
-    for build_part, probe_part in _chunks(list(map(table.get, build_keys)), budget):
-        packed.extend(map(add, map(mul, probe_part, repeat(width)), build_part))
-    order = sorted(packed)
-    probe_idx = list(map(floordiv, order, repeat(width)))
-    padded = False
-    if outer:
-        # the probe rows missing from the sorted pairs; packed with the pad
-        # they form a second sorted run, which one merge joins to the first
-        matched = set(probe_idx)
-        if len(matched) < len(probe_keys):
-            unmatched = filterfalse(matched.__contains__, range(len(probe_keys)))
-            pads = map(add, map(mul, unmatched, repeat(width)), repeat(n_build))
-            order = sorted(chain(order, pads))
-            probe_idx = list(map(floordiv, order, repeat(width)))
-            padded = True
-    return probe_idx, list(map(mod, order, repeat(width))), padded
+    table = _table(build_keys)
+    return _index_lists(list(map(table.get, probe_keys)), len(build_keys), outer, budget)
 
 
 def _vector_pairs(probe_keys, build_keys, outer: bool, budget: _Budget) -> Optional[tuple]:

@@ -5,7 +5,9 @@ Criterion 2 is split: the exchange rewrite and distribution rules 1/3/4
 hold over the full enumeration; distributing a left-outer-join over a
 right-side union (rule 2) is not a valid equivalence, so its test pins the
 three-triple counterexample with exact bags and checks both plans against
-the brute-force oracle. See the test docstring.
+the brute-force oracle. See the test docstring. Criterion 6 has a faithful
+record beside it: the worked plan joins T2 as a cross product, and the
+oracle agrees with that plan and with the one that joins T1 first.
 """
 
 import random
@@ -37,7 +39,9 @@ from rosie.frontend import parse_query
 from rosie.planner import (
     CSFilter,
     CSNode,
+    cs_leaves,
     cs_to_string,
+    linearize,
     plan_cs,
     rewrite_distribute,
     rewrite_exchange,
@@ -283,6 +287,74 @@ def test_c6_example_plan_reproduction():
         )
         cs = plan_cs(build_qrg(q, stats, dictionary))
         assert cs_to_string(cs) == QE_EXPECTED_CS
+
+
+def test_c6_cross_product_faithful():
+    """Faithful record of the cross product in the worked-example plan.
+
+    T2 (`?f <has_moderator> ?m`) ranks before T1 (`?f <has_member> ?u1`):
+    both are in the same incidence class and T2 has the lower weight. But
+    T2 shares no variable with its prefix T5 T4 T6 T3 (`?p1 ?p2 ?pc ?u1`),
+    so it joins as a cross product; T1, which shares `?u1`, only connects
+    it afterwards. The test pins that, and checks on a small dataset with
+    a non-empty result that the plan and the plan with T1 before T2 both
+    give the oracle's bag.
+    """
+    with criterion(6, "worked-example plan (cross product, faithful)"):
+        q = parse_query(QE_TEXT)
+        stats, dictionary = make_stats(
+            5000, p_counts=QE_PRED_COUNTS, o_counts={"Post": 70}
+        )
+        cs = plan_cs(build_qrg(q, stats, dictionary))
+        assert cs_to_string(cs) == QE_EXPECTED_CS
+
+        def variables(unit):
+            return {name for leaf in cs_leaves(unit) for _, name in leaf.tp.variables()}
+
+        units = [step.unit for step in linearize(cs)]
+        labels = [cs_to_string(unit) for unit in units]
+        t2, t1 = labels.index("T2"), labels.index("T1")
+        assert (labels[:t2], t1) == (["T5", "T4", "T6 Filter C", "T3"], t2 + 1)
+        prefix = set().union(*map(variables, units[:t2]))
+        assert prefix == {"p1", "p2", "pc", "u1"}
+        assert not variables(units[t2]) & prefix
+        assert variables(units[t1]) & prefix == {"u1"}
+
+        # the outer And region's units: T5 T4 (T6 Filter C) T3 T2 T1 (T7 Or ...)
+        swapped = rewrite_exchange(cs, (0,), 4, 5)
+        assert cs_to_string(swapped) == QE_EXPECTED_CS.replace(
+            "And T2) And T1)", "And T1) And T2)"
+        )
+
+        d = Dataset.from_strings(
+            [
+                ("f1", "has_member", "u1"),
+                ("f1", "has_moderator", "m1"),
+                ("f1", "has_moderator", "m3"),
+                ("f2", "has_member", "u9"),
+                ("f2", "has_moderator", "m2"),
+                ("u1", "creator_of", "p1"),
+                ("u1", "creator_of", "p3"),
+                ("p1", "reply_of", "p0"),
+                ("p3", "reply_of", "p0"),
+                ("p1", "type", "Post"),
+                ("p3", "type", "Post"),
+                ("p1", "content", '"Sep notes"'),
+                ("p3", "content", '"other"'),
+                ("u1", "follows", "u2"),
+                ("c1", "created_by", "u3"),
+                ("u1", "likes", "c1"),
+                ("u2", "email", "e2"),
+                ("u1", "knows", "u2"),
+            ]
+        )
+        expected = evaluate_query(q, d)
+        u1, p1, u2, u3 = (d.dict.lookup(t) for t in ("u1", "p1", "u2", "u3"))
+        # one row per moderator of f1, for each union branch's ?u2
+        assert expected == Counter({(u1, p1, u2): 2, (u1, p1, u3): 2})
+        for plan in (cs, swapped):
+            rel = execute(compile_cs(plan, q.projection, q.modifiers, d), d)
+            assert Counter(rel.rows) == expected, cs_to_string(plan)
 
 
 def test_c7_policy_comparison():

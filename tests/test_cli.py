@@ -320,6 +320,18 @@ class TestBench:
         assert isinstance(result.exception, SystemExit)
         assert "Usage:" in result.stderr and result.stdout == ""
 
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_unlistable_queries_path_is_io_error(self, tmp_path, runner, toy_db, kind):
+        queries = tmp_path / "queries"
+        if kind == "file":
+            queries.write_text(QUERY_2ROWS)
+        result = runner.invoke(
+            main, ["bench", "--db", str(toy_db), "--queries", str(queries), "--runs", "2"]
+        )
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "io error:" in result.stderr and result.stdout == ""
+
     def test_partial_failure_exit_0(self, tmp_path, runner, toy_db):
         qdir = tmp_path / "queries"
         qdir.mkdir()

@@ -17,11 +17,12 @@ from rosie.estimator import (
     join_selectivity_bounds,
     tp_bounds,
 )
-from rosie.frontend import AND, OPT
-from rosie.runtime import Policy, StepState, UnitProfile, should_materialize
+from rosie.frontend import AND, OPT, parse_query
+from rosie.runtime import Policy, StepState, UnitProfile, run, should_materialize
 from rosie.store import Dataset
 
 from conftest import make_stats
+from naive_eval import evaluate_query
 from test_store import tp
 
 REL = 1e-9
@@ -355,6 +356,26 @@ class TestClassifyJoin:
 
 
 class TestBoundSoundness:
+    def test_ss_upper_bound_breaks_without_a_key_faithful(self):
+        """Faithful record of an unsound join bound: the SS (and OO, PP)
+        upper selectivity 1/max(|Ti|, |Tj|) holds only when the join
+        variable is a key on one side. Here ?v0 is s1 in both patterns'
+        two rows, so each left row meets both right rows: the join has 4
+        rows, and the bound of 2 * 2 / 2 = 2 is broken. The eager trace
+        records the broken interval beside the actual count, and the oracle
+        agrees with the count.
+        """
+        d = Dataset.from_strings(
+            [("s1", "p0", "a"), ("s1", "p0", "b"), ("s1", "p4", "c"), ("s1", "p4", "d")]
+        )
+        q = parse_query("SELECT * WHERE { ?v0 <p0> ?v1 . ?v0 <p4> ?v2 . }")
+        two = CardinalityInterval(2.0, 2.0)
+        assert join_interval(two, two, "SS", AND) == CardinalityInterval(1.0, 2.0)
+        _, trace = run(q, d, Policy("eager"))
+        step = next(s for s in trace.steps if s.leaf == "T2")
+        assert (step.lo, step.hi, step.actual) == (1.0, 2.0, 4)
+        assert sum(evaluate_query(q, d).values()) == 4
+
     def test_one_unbound_upper_bound_holds_on_random_data(self):
         rng = random.Random(99)
         for _ in range(40):

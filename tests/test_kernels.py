@@ -422,8 +422,8 @@ class CountingBudget(_Budget):
 @example([0, 1, 2, 1], [k % 3 for k in range(60)], True, True)
 @example([7, 0, 7], [k % 3 for k in range(60)], True, False)
 def test_pair_builder_against_nested_loop(probe_keys, build_keys, outer, columns):
-    # either side may be the larger, so both the lookup and the packed-sort
-    # branch run; a store column is an array, an intermediate's a list
+    # the build keys are hashed whichever side is the larger, and both size
+    # relations run; a store column is an array, an intermediate's a list
     if columns:
         probe_keys, build_keys = array("I", probe_keys), array("I", build_keys)
     probe_idx, build_idx, padded = _pairs(probe_keys, build_keys, outer, _Budget(None))
