@@ -292,55 +292,57 @@ def _known_rows(plan: PhysicalPlan, d: Dataset) -> Optional[int]:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-class _Budget:
-    def __init__(self, deadline: Optional[float], budget_ms: Optional[float] = None):
-        self.deadline = deadline
-        self.budget_ms = budget_ms or 0.0
+class Deadline:
+    """One query's clock: its start, and with `timeout_ms` its deadline.
+
+    Work is counted in rows; `check` reads the clock once every
+    _TIMEOUT_CHECK_EVERY rows counted, and at once when given no count.
+    """
+
+    def __init__(self, timeout_ms: Optional[float] = None):
+        self.t0 = time.perf_counter()
+        self.timeout_ms = timeout_ms
+        self.at = time.monotonic() + timeout_ms / 1000.0 if timeout_ms else None
         self._tick = 0
 
-    def check(self, amount: int = 1) -> None:
-        if self.deadline is None:
+    def check(self, amount: int = _TIMEOUT_CHECK_EVERY) -> None:
+        """Count `amount` rows of work; QueryTimeout, reporting the
+        budget, when the clock is read past the deadline."""
+        if self.at is None:
             return
         self._tick += amount
         if self._tick >= _TIMEOUT_CHECK_EVERY:
             self._tick = 0
-            if time.monotonic() > self.deadline:
-                raise QueryTimeout(self.budget_ms)
+            if time.monotonic() > self.at:
+                raise QueryTimeout(self.timeout_ms)
+
+    def elapsed_ms(self) -> float:
+        return (time.perf_counter() - self.t0) * 1000.0
 
 
-def evaluate(
-    plan: PhysicalPlan,
-    d: Dataset,
-    deadline: Optional[float] = None,
-    budget_ms: Optional[float] = None,
-) -> Relation:
+def evaluate(plan: PhysicalPlan, d: Dataset, deadline: Optional[Deadline] = None) -> Relation:
     """Evaluate a plan to a relation of columns; no row tuple is built.
 
     The relation is a bag; its row order is deterministic (see the module
     docstring). A materialized intermediate is evaluated this way.
     """
-    return _eval(plan, d, _Budget(deadline, budget_ms))
+    return _eval(plan, d, deadline or Deadline())
 
 
-def execute(
-    plan: PhysicalPlan,
-    d: Dataset,
-    deadline: Optional[float] = None,
-    budget_ms: Optional[float] = None,
-) -> Relation:
+def execute(plan: PhysicalPlan, d: Dataset, deadline: Optional[Deadline] = None) -> Relation:
     """Evaluate a plan and build the row tuples of its result, once."""
-    rel = evaluate(plan, d, deadline, budget_ms)
+    rel = evaluate(plan, d, deadline)
     return Relation(rel.schema, rel.columns, rel.size, rel.rows)
 
 
 def _eval(
-    plan: PhysicalPlan, d: Dataset, budget: _Budget, cells: Optional[dict] = None
+    plan: PhysicalPlan, d: Dataset, deadline: Deadline, cells: Optional[dict] = None
 ) -> Relation:
     """`plan` evaluated to a relation; `cells`, passed down an OPTIONAL's
     right input, lets the joins that `_reducible` finds drop the rows no
     left row can match (see `_semi_cells`)."""
     if isinstance(plan, Scan):
-        budget.check(_TIMEOUT_CHECK_EVERY)
+        deadline.check()
         return scan(d, plan.tp)
     if isinstance(plan, FetchIntermediate):
         rel = d.intermediates.get(plan.rel_id)
@@ -351,45 +353,45 @@ def _eval(
         if cells and _reducible(plan):
             # oriented by the unreduced row counts, as the join would be
             (left, left_size), (right, right_size) = (
-                _semi_scan(side, cells, d, budget) for side in (plan.left, plan.right)
+                _semi_scan(side, cells, d, deadline) for side in (plan.left, plan.right)
             )
         else:
-            left = _eval(plan.left, d, budget)
-            right = _eval(plan.right, d, budget)
+            left = _eval(plan.left, d, deadline)
+            right = _eval(plan.right, d, deadline)
             left_size, right_size = left.size, right.size
         if plan.shared and left_size <= right_size:
             # the larger input probes an inner join, the right one on a tie
             left, right = right, left
-        return _join(left, right, plan.shared, plan.schema, False, budget)
+        return _join(left, right, plan.shared, plan.schema, False, deadline)
     if isinstance(plan, LeftOuterJoin):
-        left = _eval(plan.left, d, budget)
+        left = _eval(plan.left, d, deadline)
         if not left.size:
             return Relation(plan.schema, [[] for _ in plan.schema], 0)
-        right = _eval(plan.right, d, budget, _semi_cells(left, plan))
-        return _join(left, right, plan.shared, plan.schema, True, budget)
+        right = _eval(plan.right, d, deadline, _semi_cells(left, plan))
+        return _join(left, right, plan.shared, plan.schema, True, deadline)
     if isinstance(plan, BindJoin):
-        leaf = _eval(plan.leaf, d, budget)
-        found = _lookup(plan, leaf, d, budget)
+        leaf = _eval(plan.leaf, d, deadline)
+        found = _lookup(plan, leaf, d, deadline)
         if plan.outer:
-            return _join(leaf, found, plan.shared, plan.schema, True, budget)
+            return _join(leaf, found, plan.shared, plan.schema, True, deadline)
         # the scan is the larger input, so its rows lead, as in a hash join
-        return _join(found, leaf, plan.shared, plan.schema, False, budget)
+        return _join(found, leaf, plan.shared, plan.schema, False, deadline)
     if isinstance(plan, UnionOp):
-        left = _eval(plan.left, d, budget, cells)
-        right = _eval(plan.right, d, budget, cells)
+        left = _eval(plan.left, d, deadline, cells)
+        right = _eval(plan.right, d, deadline, cells)
         columns = [
             list(chain(_column(left, v), _column(right, v))) for v in plan.schema
         ]
         return Relation(plan.schema, columns, left.size + right.size)
     if isinstance(plan, FilterOp):
-        rel = _eval(plan.child, d, budget, cells)
-        budget.check(rel.size)
+        rel = _eval(plan.child, d, deadline, cells)
+        deadline.check(rel.size)
         return _filter(rel, plan.constraint, d)
     if isinstance(plan, Project):
-        rel = _eval(plan.child, d, budget)
+        rel = _eval(plan.child, d, deadline)
         return Relation(plan.schema, [_column(rel, v) for v in plan.schema], rel.size)
     if isinstance(plan, Distinct):
-        rel = _eval(plan.child, d, budget)
+        rel = _eval(plan.child, d, deadline)
         if not rel.columns:
             return Relation(plan.schema, [], min(rel.size, 1))
         cells = rel.columns[0] if len(rel.columns) == 1 else list(zip(*rel.columns))
@@ -397,7 +399,7 @@ def _eval(
         first = dict(zip(reversed(cells), range(rel.size - 1, -1, -1)))
         return _take(rel, sorted(first.values()))
     if isinstance(plan, Sort):
-        rel = _eval(plan.child, d, budget)
+        rel = _eval(plan.child, d, deadline)
         order = list(range(rel.size))
         keys: dict = {}  # term id -> sort key, shared by every key pass
         for var, ascending in reversed(plan.keys):
@@ -409,7 +411,7 @@ def _eval(
             order.sort(key=row_keys.__getitem__, reverse=not ascending)
         return _take(rel, order)
     if isinstance(plan, Slice):
-        rel = _eval(plan.child, d, budget)
+        rel = _eval(plan.child, d, deadline)
         start = plan.offset or 0
         end = None if plan.limit is None else start + plan.limit
         size = len(range(rel.size)[start:end])
@@ -452,17 +454,17 @@ def _semi_cells(left: Relation, plan: LeftOuterJoin) -> dict:
     return cells
 
 
-def _semi_scan(plan: Scan, cells: dict, d: Dataset, budget: _Budget) -> tuple[Relation, int]:
+def _semi_scan(plan: Scan, cells: dict, d: Dataset, deadline: Deadline) -> tuple[Relation, int]:
     """The rows of a scan whose cell of each variable in `cells` is one of
     its cells there, in scan order, and the scan's row count before that.
 
     A variable cuts only when a sample of the scan's rows shows it dropping
     more than a quarter of them (see SAMPLE); a hot key or a left input
-    holding most keys leaves the rows to the join. Each cut takes a budget
+    holding most keys leaves the rows to the join. Each cut takes a deadline
     check for the rows it reads. The columns stay `array`s, so `_keys`
     still knows that no cell is unbound.
     """
-    rel = _eval(plan, d, budget)
+    rel = _eval(plan, d, deadline)
     size = rel.size
     for k, v in enumerate(rel.schema):
         if v not in cells or not rel.size:
@@ -470,7 +472,7 @@ def _semi_scan(plan: Scan, cells: dict, d: Dataset, budget: _Budget) -> tuple[Re
         sample = rel.columns[k][:: max(1, rel.size // SAMPLE)]
         if sum(map(cells[v].__contains__, sample)) * 4 > len(sample) * 3:
             continue
-        budget.check(rel.size)
+        deadline.check(rel.size)
         keep = list(map(cells[v].__contains__, rel.columns[k]))
         columns = [array(_U32_ARRAY, compress(col, keep)) for col in rel.columns]
         rel = Relation(rel.schema, columns, len(columns[k]))
@@ -544,7 +546,7 @@ def _join(
     shared: tuple[str, ...],
     schema: tuple[str, ...],
     outer: bool,
-    budget: _Budget,
+    deadline: Deadline,
 ) -> Relation:
     """Compatibility join of two relations, over columns, whose output
     follows the probe rows; an outer join keeps every probe row.
@@ -555,17 +557,22 @@ def _join(
     """
     probe_keys, probe_unbound = _keys(probe, shared)
     build_keys, build_unbound = _keys(build, shared)
-    if shared and not (probe_unbound or build_unbound):
-        pairs = None
-        if len(shared) == 1 and probe.size + build.size >= VECTOR_ROWS:
-            pairs = _vector_pairs(probe_keys, build_keys, outer, budget)
-        probe_idx, build_idx, padded = pairs or _pairs(probe_keys, build_keys, outer, budget)
-    else:
+    pairs = None
+    if (
+        len(shared) == 1 and not (probe_unbound or build_unbound)
+        and probe.size + build.size >= VECTOR_ROWS
+    ):
+        pairs = _vector_pairs(probe_keys, build_keys, outer, deadline)
+    if pairs is None:
         if shared:
-            hits = _matches(probe_keys, build_keys, len(shared) == 1, bool(build_unbound), budget)
+            hits = _matches(
+                probe_keys, build_keys, len(shared) == 1,
+                bool(probe_unbound), bool(build_unbound), deadline,
+            )
         else:
             hits = [list(range(build.size))] * probe.size
-        probe_idx, build_idx, padded = _index_lists(hits, build.size, outer, budget)
+        pairs = _index_lists(hits, build.size, outer, deadline)
+    probe_idx, build_idx, padded = pairs
 
     # an unmatched row of an outer join pairs with the all-unbound build
     # row at index build.size
@@ -583,12 +590,12 @@ def _join(
     return Relation(schema, columns, len(probe_idx))
 
 
-def _lookup(plan: BindJoin, leaf: Relation, d: Dataset, budget: _Budget) -> Relation:
+def _lookup(plan: BindJoin, leaf: Relation, d: Dataset, deadline: Deadline) -> Relation:
     """The rows of the scan input that join some row of `leaf`, in scan
     order.
 
     The scan runs once per distinct key of `leaf`, with the key's ids in
-    place of the shared variables, each run with a budget check. The rows
+    place of the shared variables, each run with a deadline check. The rows
     found are sorted back into the order of the scan's own range, whose
     rows ascend in the cells of its `scan_order`.
     """
@@ -598,7 +605,7 @@ def _lookup(plan: BindJoin, leaf: Relation, d: Dataset, budget: _Budget) -> Rela
     for key in set(keys):
         cells = key if len(shared) > 1 else (key,)
         rel = scan(d, plan.scan.tp, dict(zip(shared, cells)))
-        budget.check(1 + rel.size)
+        deadline.check(1 + rel.size)
         if rel.size:
             parts.append((cells, rel))
     sizes = [rel.size for _, rel in parts]
@@ -617,31 +624,16 @@ def _lookup(plan: BindJoin, leaf: Relation, d: Dataset, budget: _Budget) -> Rela
     return rel
 
 
-def _pairs(
-    probe_keys, build_keys, outer: bool, budget: _Budget
-) -> tuple[list[int], list[int], bool]:
-    """The (probe row, build row) pairs of equal keys, for keys whose cells
-    are all bound: a probe-index and a build-index list, in probe order and
-    build order within, and whether a probe row took the pad (as in
-    `_index_lists`).
-
-    The build keys are hashed and each probe key looks its rows up. An
-    inner join's orientation makes the build input the smaller one; an
-    OPTIONAL hashes its right input.
-    """
-    table = _table(build_keys)
-    return _index_lists(list(map(table.get, probe_keys)), len(build_keys), outer, budget)
-
-
-def _vector_pairs(probe_keys, build_keys, outer: bool, budget: _Budget) -> Optional[tuple]:
-    """`_pairs` in numpy, imported here on first use: the same pairs in the
-    same order, as two index arrays, or None when the keys span more than
-    SPAN ids per input row.
+def _vector_pairs(probe_keys, build_keys, outer: bool, deadline: Deadline) -> Optional[tuple]:
+    """The pairs that `_index_lists` makes of `_matches` for keys whose
+    cells are all bound, in numpy, imported here on first use: the same
+    pairs in the same order, as two index arrays, or None when the keys
+    span more than SPAN ids per input row.
 
     One sort groups the build rows by key, in build order within a key,
     and a dense count over the span of both sides' keys gives each probe
     row its group. The pairs are expanded _TIMEOUT_CHECK_EVERY at a time,
-    with a budget check before each part, so a blow-up times out before
+    with a deadline check before each part, so a blow-up times out before
     its arrays exist.
     """
     import numpy as np
@@ -678,7 +670,7 @@ def _vector_pairs(probe_keys, build_keys, outer: bool, budget: _Budget) -> Optio
     total = int(end[-1]) if len(end) else 0
     probe_parts, build_parts = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
     for p0 in range(0, total, _TIMEOUT_CHECK_EVERY):
-        budget.check(_TIMEOUT_CHECK_EVERY)
+        deadline.check()
         p1 = min(p0 + _TIMEOUT_CHECK_EVERY, total)
         # the rows holding the part's first and last pair, and their share
         r0, r1 = np.searchsorted(end, (p0, p1 - 1), side="right").tolist()
@@ -690,41 +682,37 @@ def _vector_pairs(probe_keys, build_keys, outer: bool, budget: _Budget) -> Optio
 
 
 def _index_lists(
-    hits: list, n_build: int, outer: bool, budget: _Budget
+    hits: list, n_build: int, outer: bool, deadline: Deadline
 ) -> tuple[list[int], list[int], bool]:
     """The probe-index and build-index lists of the per-probe-row match
     lists `hits` (a falsy entry for no match), and whether a probe row took
     the pad: with `outer`, a row without a match pairs once with the pad
-    index n_build."""
+    index n_build.
+
+    The lists grow about _TIMEOUT_CHECK_EVERY pairs at a time, with a
+    deadline check before each part, so a blow-up times out before they
+    exist.
+    """
     padded = outer and not all(hits)
     if padded:
         pad = (n_build,)
         hits = [h or pad for h in hits]
-    probe_idx: list[int] = []
-    build_idx: list[int] = []
-    for probe_part, build_part in _chunks(hits, budget):
-        probe_idx += probe_part
-        build_idx += build_part
-    return probe_idx, build_idx, padded
-
-
-def _chunks(hits: list, budget: _Budget):
-    """The pairs of the per-row match lists `hits` (a falsy entry for none)
-    as (row indices, match indices) iterators, about _TIMEOUT_CHECK_EVERY
-    pairs at a time with a budget check before each, so a blow-up times out
-    before the lists it would fill exist."""
     rows = list(compress(range(len(hits)), hits))
     hits = list(filter(None, hits))
     widest = max(map(len, hits), default=1)
     step = max(1, _TIMEOUT_CHECK_EVERY // widest)
+    probe_idx: list[int] = []
+    build_idx: list[int] = []
     for start in range(0, len(hits), step):
-        budget.check(_TIMEOUT_CHECK_EVERY)
+        deadline.check()
         part = hits[start : start + step]
         part_rows = rows[start : start + step]
         if widest > 1:
             # each row as a 1-tuple, repeated once per match
             part_rows = chain.from_iterable(map(mul, zip(part_rows), map(len, part)))
-        yield part_rows, chain.from_iterable(part)
+        probe_idx += part_rows
+        build_idx += chain.from_iterable(part)
+    return probe_idx, build_idx, padded
 
 
 def _table(keys) -> dict:
@@ -747,13 +735,17 @@ def _table(keys) -> dict:
     return table
 
 
-def _matches(probe_keys, build_keys, single: bool, build_wild: bool, budget: _Budget) -> list:
+def _matches(
+    probe_keys, build_keys, single: bool, probe_wild: bool, build_wild: bool,
+    deadline: Deadline,
+) -> list:
     """For each probe key, the indices of the compatible build keys in build
     order (bound-key matches before wild ones), or a falsy value for none.
 
-    A "wild" key, with an unbound cell as UNION and OPTIONAL produce, is
-    compatible with anything at that cell, so it is compared pairwise; the
-    keys whose cells are all bound meet through `_table`.
+    The build keys are hashed and each probe key looks its rows up. A
+    "wild" key, with an unbound cell as UNION and OPTIONAL produce, is
+    compatible with anything at that cell, so it is compared pairwise;
+    `probe_wild` and `build_wild` say whether a side holds one.
     """
     buckets = _table(build_keys)
     wild: list[int] = []
@@ -763,6 +755,8 @@ def _matches(probe_keys, build_keys, single: bool, build_wild: bool, budget: _Bu
             buckets.pop(key) for key in list(filter(_has_unbound, buckets))
         ))
     hits = list(map(buckets.get, probe_keys))
+    if not (probe_wild or build_wild):
+        return hits
 
     # an unbound single-variable key matches every build row, and a bound
     # one every wild build row; tuple keys are compared cell by cell
@@ -770,13 +764,13 @@ def _matches(probe_keys, build_keys, single: bool, build_wild: bool, budget: _Bu
     wild_keys = [(j, build_keys[j]) for j in wild]
     for i, key in enumerate(probe_keys):
         if _has_unbound(key):
-            budget.check(1 + len(build_keys))
+            deadline.check(1 + len(build_keys))
             hits[i] = every if single else [
                 j for j, other in enumerate(build_keys) if _compatible(key, other)
             ]
         elif wild:
             bucket = hits[i] or ()
-            budget.check(1 + len(bucket) + len(wild))
+            deadline.check(1 + len(bucket) + len(wild))
             hits[i] = [*bucket, *(wild if single else [
                 j for j, other in wild_keys if _compatible(key, other)
             ])]

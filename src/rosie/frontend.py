@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import EscapeError, QuerySyntaxError, UnsupportedFeature
-from .store import escape_literal, make_literal, unescape
+from .store import LANGTAG, escape_literal, make_literal, unescape
 
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 
@@ -189,6 +189,7 @@ _TOKEN_RE = re.compile(
   | (?P<PNAME>[A-Za-z_][A-Za-z0-9_.-]*:[A-Za-z0-9_.-]*|:[A-Za-z0-9_.-]+)
   | (?P<NUMBER>[+-]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)
   | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<LANGTAG>@""" + LANGTAG + r""")
   | (?P<PUNCT>\^\^|&&|\|\||!=|<=|>=|[{}().,;=<>@!|/^*+])
     """,
     re.VERBOSE,
@@ -482,7 +483,7 @@ class _Parser:
             self.next()
             return Term(self.expand_pname(tok))
         if tok.kind == "STRING":
-            return Term(self.parse_literal())
+            return Term(self.parse_literal()[1])
         if tok.kind == "NUMBER":
             self.next()
             return Term(make_literal(tok.text))
@@ -499,27 +500,26 @@ class _Parser:
             raise UnsupportedFeature("property paths")
         return atom
 
-    def parse_literal(self) -> str:
+    def parse_literal(self) -> tuple[str, str]:
+        """A STRING token with its language tag or datatype, if any: the
+        lexical form and the term."""
         tok = self.next()
         lexical = _unescape_string(tok.text, tok.pos)
+        if self.peek().kind == "LANGTAG":
+            return lexical, make_literal(lexical, lang=self.next().text[1:])
         if self.at_punct("@"):
-            self.next()
-            lang_tok = self.peek()
-            if lang_tok.kind != "IDENT":
-                raise QuerySyntaxError(lang_tok.pos, "a language tag")
-            self.next()
-            return make_literal(lexical, lang=lang_tok.text)
+            raise QuerySyntaxError(self.peek().pos, "a language tag")
         if self.at_punct("^^"):
             self.next()
             dt_tok = self.peek()
             if dt_tok.kind == "IRIREF":
                 self.next()
-                return make_literal(lexical, datatype=dt_tok.text[1:-1])
+                return lexical, make_literal(lexical, datatype=dt_tok.text[1:-1])
             if dt_tok.kind == "PNAME":
                 self.next()
-                return make_literal(lexical, datatype=self.expand_pname(dt_tok))
+                return lexical, make_literal(lexical, datatype=self.expand_pname(dt_tok))
             raise QuerySyntaxError(dt_tok.pos, "a datatype IRI")
-        return make_literal(lexical)
+        return lexical, make_literal(lexical)
 
     def expand_pname(self, tok: _Token) -> str:
         prefix, _, local = tok.text.partition(":")
@@ -615,15 +615,7 @@ class _Parser:
             self.next()
             return None, tok.text
         if tok.kind == "STRING":
-            lexical = _unescape_string(tok.text, tok.pos)
-            self.next()
-            if self.at_punct("@"):
-                self.next()
-                self.next()
-            elif self.at_punct("^^"):
-                self.next()
-                self.next()
-            return None, lexical
+            return None, self.parse_literal()[0]
         if tok.kind == "IRIREF":
             self.next()
             return None, tok.text[1:-1]

@@ -25,7 +25,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import QueryTimeout
 from .estimator import (
     CardinalityInterval,
     adjusted_upper_error,
@@ -35,7 +34,7 @@ from .estimator import (
     filter_interval,
     join_interval,
 )
-from .executor import compile_cs, evaluate, execute
+from .executor import Deadline, compile_cs, evaluate, execute
 from .frontend import AND, FILTER, OPT, OR, Query, query_variables
 from .planner import (
     CS,
@@ -174,28 +173,19 @@ def profile_unit(unit: CS, g: QRG, var_order: dict[str, int]) -> UnitProfile:
     if isinstance(unit, (PatternLeaf, RelationLeaf)):
         return _vertex_profile(g.by_label[unit.label])
     if isinstance(unit, CSFilter):
-        child = profile_unit(unit.child, g, var_order)
-        sel = constraint_selectivity(unit.constraint)
-        return UnitProfile(
-            cs_to_string(unit), filter_interval(child.interval, sel),
-            child.est * sel, child.positions,
-        )
+        state = StepState.start(profile_unit(unit.child, g, var_order), var_order)
+        state.apply_filter_step(constraint_selectivity(unit.constraint))
+        return UnitProfile(cs_to_string(unit), state.cum, state.est, state.positions)
     assert isinstance(unit, CSNode)
     left = profile_unit(unit.left, g, var_order)
     right = profile_unit(unit.right, g, var_order)
-    positions = dict(left.positions)
-    for var, pos in right.positions.items():
-        positions.setdefault(var, pos)
-    jt, _ = classify_join(left.positions, right.positions, var_order)
-    iv = join_interval(left.interval, right.interval, jt, unit.op)
-    joined = estimate_join(left.est, right.est, jt)
     if unit.op == OR:
-        est = left.est + right.est
-    elif unit.op == OPT:
-        est = max(left.est, joined)
-    else:  # nested And subtree
-        est = joined
-    return UnitProfile(cs_to_string(unit), iv, est, positions)
+        # a union holds both sides' rows, whatever the join type
+        iv, est = join_interval(left.interval, right.interval, "NONE", OR), left.est + right.est
+    else:
+        iv, est = extend_state(StepState.start(left, var_order), right, unit.op)
+    # a variable keeps its first position, the left side's
+    return UnitProfile(cs_to_string(unit), iv, est, {**right.positions, **left.positions})
 
 
 def extend_state(
@@ -246,22 +236,6 @@ def should_materialize(
 # The control loop
 # ---------------------------------------------------------------------------
 
-class _Clock:
-    def __init__(self, timeout_ms: Optional[float]):
-        self.t0 = time.perf_counter()
-        self.timeout_ms = timeout_ms
-        self.deadline = (
-            time.monotonic() + timeout_ms / 1000.0 if timeout_ms else None
-        )
-
-    def check(self) -> None:
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise QueryTimeout(self.timeout_ms or 0.0)
-
-    def elapsed_ms(self) -> float:
-        return (time.perf_counter() - self.t0) * 1000.0
-
-
 def run(
     q: Query,
     d: Dataset,
@@ -278,7 +252,7 @@ def run(
     stats = d.stats
     for tp in q.patterns:
         scan_index(d, tp)
-    clock = _Clock(timeout_ms)
+    deadline = Deadline(timeout_ms)
     trace = ExecutionTrace(query=query_text, policy=policy.kind)
     g = build_qrg(q, stats, d.dict)
     cs = plan_cs(g)
@@ -287,13 +261,13 @@ def run(
 
     registered: list[int] = []
     try:
-        result = _run_incremental(q, d, policy, g, cs, trace, var_order, clock, registered)
+        result = _run_incremental(q, d, policy, g, cs, trace, var_order, deadline, registered)
     finally:
         # the query's intermediates die with it, however it ended
         release_intermediates(d, registered)
 
     trace.result_cardinality = result.exact_cardinality
-    trace.total_ms = clock.elapsed_ms()
+    trace.total_ms = deadline.elapsed_ms()
     return result, trace
 
 
@@ -337,7 +311,7 @@ def _run_incremental(
     cs: CS,
     trace: ExecutionTrace,
     var_order: dict[str, int],
-    clock: _Clock,
+    deadline: Deadline,
     registered: list[int],
 ) -> Relation:
     """Walk the plan step by step under any policy (`static` never
@@ -345,9 +319,7 @@ def _run_incremental(
     `registered` for the caller to release."""
 
     def materialize(prefix: CS) -> tuple[int, int]:
-        rel = evaluate(
-            compile_cs(prefix, None, None, d), d, clock.deadline, clock.timeout_ms
-        )
+        rel = evaluate(compile_cs(prefix, None, None, d), d, deadline)
         rid = register_intermediate(d, rel)
         registered.append(rid)
         return rid, rel.exact_cardinality
@@ -359,15 +331,13 @@ def _run_incremental(
     short_circuited = False
 
     while k < len(steps):
-        clock.check()
+        deadline.check()
         step_t0 = time.perf_counter()
         step = steps[k]
 
         if step.op == FILTER:
-            assert step.constraint is not None and cs_sub is not None and state is not None
-            cs_sub = CSFilter(cs_sub, step.constraint.constraint, step.constraint.label)
-            state.apply_filter_step(constraint_selectivity(step.constraint.constraint))
-            k += 1
+            assert cs_sub is not None and state is not None
+            cs_sub, k = _take_filters(steps, k, cs_sub, state)
             continue
 
         assert step.unit is not None
@@ -403,13 +373,7 @@ def _run_incremental(
                 cs_sub = CSNode(op, cs_sub, step.unit)
                 state.advance(profile, op)
                 label = profile.label
-                k += 1
-                while k < len(steps) and steps[k].op == FILTER:
-                    trailing = steps[k].constraint
-                    assert trailing is not None
-                    cs_sub = CSFilter(cs_sub, trailing.constraint, trailing.label)
-                    state.apply_filter_step(constraint_selectivity(trailing.constraint))
-                    k += 1
+                cs_sub, k = _take_filters(steps, k + 1, cs_sub, state)
             rid, card = materialize(cs_sub)
             # recorded from the estimate that led here, before the restart
             _record(trace, policy, label or f"R{rid}", state,
@@ -434,10 +398,22 @@ def _run_incremental(
 
     assert cs_sub is not None
     plan = compile_cs(cs_sub, q.projection, q.modifiers, d)
-    result = execute(plan, d, clock.deadline, clock.timeout_ms)
+    result = execute(plan, d, deadline)
     if short_circuited:
         assert result.exact_cardinality == 0
     return result
+
+
+def _take_filters(steps: list, k: int, cs_sub: CS, state: StepState) -> tuple[CS, int]:
+    """The prefix with the FILTER steps from step `k` on applied, and the
+    index of the first step after them; `state` takes their selectivity."""
+    while k < len(steps) and steps[k].op == FILTER:
+        filtered = steps[k].constraint
+        assert filtered is not None
+        cs_sub = CSFilter(cs_sub, filtered.constraint, filtered.label)
+        state.apply_filter_step(constraint_selectivity(filtered.constraint))
+        k += 1
+    return cs_sub, k
 
 
 def _restart_from(

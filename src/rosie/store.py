@@ -51,6 +51,9 @@ _U32_ARRAY = next(code for code in "IL" if array(code).itemsize == 4)
 #   literal  -> '"' escaped-lexical '"' plus optional @lang or ^^<datatype>
 #   blank    -> '_:' label
 
+# a language tag, in N-Triples and in queries alike
+LANGTAG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
+
 # ECHAR, the single-character escapes of N-Triples and SPARQL strings
 _ESCAPES = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
 _HEX = re.compile("[0-9A-Fa-f]+")
@@ -356,12 +359,12 @@ def _ntriples_terms(source) -> Iterator[tuple[str, str, str]]:
 # A line whose terms are already in canonical form: the subject an IRI or an
 # ASCII blank node, the predicate an IRI, the object an IRI, an ASCII blank
 # node or a literal whose only escapes are \t \n \r \" \\, with no raw
-# tab, CR or LF, and an optional ASCII @lang or non-empty ^^<datatype>. Such a
+# tab, CR or LF, and an optional LANGTAG or non-empty ^^<datatype>. Such a
 # literal is its own canonical form (`make_literal` of its unescaped lexical
 # form gives it back), so the groups are the terms. A label or tag is
 # followed by a character that would also end it in `_parse_ntriples_chars`.
 _BLANK = r"_:[A-Za-z0-9_-]+"
-_LITERAL = r'"[^"\\\t\r\n]*(?:\\[tnr"\\][^"\\\t\r\n]*)*"(?:@[A-Za-z0-9-]+|\^\^<[^>]+>)?'
+_LITERAL = rf'"[^"\\\t\r\n]*(?:\\[tnr"\\][^"\\\t\r\n]*)*"(?:@{LANGTAG}|\^\^<[^>]+>)?'
 _CANONICAL_LINE = re.compile(
     rf"[ \t]*(?:<([^>]*)>|({_BLANK}))"
     r"[ \t]*<([^>]*)>"
@@ -434,8 +437,8 @@ def _parse_term(line: str, pos: int, line_no: int, which: str) -> tuple[str, int
             while end < len(line) and (line[end].isalnum() or line[end] == "-"):
                 end += 1
             lang = line[i + 1 : end]
-            if not lang:
-                raise ParseError(line_no, "empty language tag")
+            if not re.fullmatch(LANGTAG, lang):
+                raise ParseError(line_no, f"bad language tag {lang!r}")
             i = end
         elif line[i : i + 2] == "^^":
             if line[i + 2 : i + 3] != "<":

@@ -169,6 +169,16 @@ class TestQuery:
         assert "Traceback" not in result.output + result.stderr
         assert isinstance(result.exception, SystemExit)
 
+    @pytest.mark.parametrize("suffix", ['^^"b"', "@42", "^^?s"])
+    def test_filter_literal_suffix_is_a_syntax_error(
+        self, tmp_path, runner, toy_db, suffix
+    ):
+        text = f'SELECT ?x WHERE {{ ?x <content> ?c . FILTER(?c = "a"{suffix}) }}\n'
+        qf = write_query(tmp_path, text)
+        result = runner.invoke(main, ["query", "--db", str(toy_db), "--file", str(qf)])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("syntax error:")
+
     def test_timeout_exit_code(self, tmp_path, runner):
         triples = "\n".join(f"<s{i}> <p> <o{i}> ." for i in range(300))
         nt = tmp_path / "big.nt"
@@ -184,6 +194,7 @@ class TestQuery:
              "--policy", "static"],
         )
         assert result.exit_code == 3
+        assert result.stderr == "query exceeded 5 ms budget\n"
 
     def test_non_utf8_query_file_exit_code(self, tmp_path, runner, toy_db):
         qf = tmp_path / "latin1.rq"

@@ -200,6 +200,28 @@ class TestRejections:
         with pytest.raises(QuerySyntaxError):
             parse_query("SELECT ?x WHERE { ?x ex:p ?y . }")
 
+    @pytest.mark.parametrize(
+        "suffix, offset, expected",
+        [
+            ('^^"b"', 2, "a datatype IRI"),
+            ("^^?s", 2, "a datatype IRI"),
+            ("@42", 0, "a language tag"),
+            ("@-", 1, "a token (got '-')"),
+            ("@en-", 3, "a token (got '-')"),
+            ("@en--US", 3, "a token (got '-')"),
+        ],
+    )
+    def test_literal_suffix_is_checked(self, suffix, offset, expected):
+        # a filter's literal takes the suffix grammar of a pattern's
+        for text in (
+            f'SELECT ?x WHERE {{ ?x <p> ?o . FILTER(?o = "a"{suffix}) }}',
+            f'SELECT ?x WHERE {{ ?x <p> "a"{suffix} . }}',
+        ):
+            with pytest.raises(QuerySyntaxError) as err:
+                parse_query(text)
+            assert err.value.pos == text.index(suffix) + offset
+            assert err.value.expected == expected
+
 
 # every escape both parsers accept, with the character it stands for
 ESCAPES = [
@@ -207,6 +229,15 @@ ESCAPES = [
     ('\\"', '"'), ("\\'", "'"), ("\\\\", "\\"),
     ("\\u00e9", "\u00e9"), ("\\U0001F600", "\U0001F600"),
 ]
+
+
+def test_language_tag_with_subtags_finds_the_loaded_row():
+    d = load_ntriples('<s> <p> "a"@en-US .\n<t> <p> "a"@en .\n')
+    q = parse_query('SELECT ?s WHERE { ?s <p> "a"@en-US . }')
+    assert q.patterns[0].o.value == '"a"@en-US'
+    for kind in ("static", "eager", "rosie"):
+        rel, _ = run(q, d, Policy(kind))
+        assert [[d.dict.decode(t) for t in row] for row in rel.rows] == [["s"]]
 
 
 class TestStringEscapes:
@@ -276,6 +307,7 @@ ROUND_TRIP_QUERIES = [
     "SELECT ?x WHERE { ?x <type> <Post> . }",
     "SELECT DISTINCT ?x ?c WHERE { ?x <p> ?c . } ORDER BY ?c LIMIT 3 OFFSET 1",
     'SELECT * WHERE { ?x <p> "lit"@en . ?x <q> "5"^^<http://t> . }',
+    'SELECT * WHERE { ?x <p> "lit"@de-CH-1996 . }',
     "SELECT * WHERE { { ?a <p> ?b . } UNION { ?a <q> ?b . } UNION { ?a <r> ?b . } }",
     "SELECT * WHERE { ?a <p> ?b . OPTIONAL { ?b <q> ?c . } ?a <r> ?d . }",
     "SELECT * WHERE { { ?a <p> ?b . FILTER(?b != 3) } { ?a <q> ?c . } UNION { ?a <r> ?c . } }",

@@ -45,7 +45,7 @@ BODY = st.lists(
 ).map("".join)
 SUFFIXES = st.sampled_from([
     "", "", "@en", "@en-US", "@", "@é", "@en@fr", "^^<http://example.org/dt>", "^^<>",
-    "^^dt", "^^<open", "@en^^<dt>",
+    "^^dt", "^^<open", "@en^^<dt>", "@-", "@en-", "@1en", "@en--US", "@de-CH-1996", "@x1",
 ])
 LITERALS = st.builds(lambda body, suffix: f'"{body}"{suffix}', BODY, SUFFIXES)
 TERMS = st.one_of(st.sampled_from(IRIS), st.sampled_from(BLANKS), LITERALS)
@@ -98,6 +98,14 @@ def test_canonical_lines_take_the_fast_path(line):
 ])
 def test_other_lines_take_the_character_parser(line):
     assert _CANONICAL_LINE.fullmatch(line) is None
+
+
+@pytest.mark.parametrize("suffix", ["@-", "@en-", "@1en", "@en--US", "@é"])
+def test_malformed_language_tag_is_a_parse_error(suffix):
+    line = f'<s> <p> "a"{suffix} .'
+    assert _CANONICAL_LINE.fullmatch(line) is None
+    with pytest.raises(ParseError):
+        load_ntriples(line + "\n")
 
 
 def test_load_reports_the_line_of_the_first_error():

@@ -39,9 +39,10 @@ from rosie.executor import (
     FetchIntermediate,
     HashJoin,
     LeftOuterJoin,
+    Deadline,
     Scan,
-    _Budget,
-    _pairs,
+    _index_lists,
+    _matches,
     _vector_pairs,
     bind_inputs,
     compile_cs,
@@ -377,7 +378,7 @@ def test_optional_group_scan_cut_only_when_its_sample_drops_rows(keys, kept):
     plan = compile_cs(as_written(parse_query(f"SELECT * WHERE {{ ?y <{pred}> ?z . }}").tree), None, None, d)
     assert isinstance(plan, Scan)
     cells = {"y": {d.dict.lookup(k) for k in keys}}
-    rel, size = executor._semi_scan(plan, cells, d, _Budget(None))
+    rel, size = executor._semi_scan(plan, cells, d, Deadline())
     assert (rel.size, size) == (kept, 200)
     full = scan(d, plan.tp).rows
     assert rel.rows == (full if kept == size else [row for row in full if row[0] in cells["y"]])
@@ -400,11 +401,18 @@ def nested_loop_pairs(probe_keys, build_keys, outer: bool) -> tuple[list, list]:
 join_keys = st.lists(st.integers(min_value=0, max_value=5), max_size=40)
 
 
-class CountingBudget(_Budget):
-    """A budget without a deadline that counts its checks."""
+def hashed_pairs(probe_keys, build_keys, outer: bool) -> tuple[list, list, bool]:
+    """The pairs the Python kernel makes of keys whose cells are all bound."""
+    deadline = Deadline()
+    hits = _matches(probe_keys, build_keys, True, False, False, deadline)
+    return _index_lists(hits, len(build_keys), outer, deadline)
+
+
+class CountingDeadline(Deadline):
+    """A deadline without a timeout that counts its checks."""
 
     def __init__(self):
-        super().__init__(None)
+        super().__init__()
         self.checks = 0
 
     def check(self, amount: int = 1) -> None:
@@ -422,25 +430,26 @@ class CountingBudget(_Budget):
 @example([0, 1, 2, 1], [k % 3 for k in range(60)], True, True)
 @example([7, 0, 7], [k % 3 for k in range(60)], True, False)
 def test_pair_builder_against_nested_loop(probe_keys, build_keys, outer, columns):
-    # the build keys are hashed whichever side is the larger, and both size
-    # relations run; a store column is an array, an intermediate's a list
+    # `_matches` hashes the build keys whichever side is the larger, and
+    # both size relations run; a store column is an array, an
+    # intermediate's a list
     if columns:
         probe_keys, build_keys = array("I", probe_keys), array("I", build_keys)
-    probe_idx, build_idx, padded = _pairs(probe_keys, build_keys, outer, _Budget(None))
+    probe_idx, build_idx, padded = hashed_pairs(probe_keys, build_keys, outer)
     assert (probe_idx, build_idx) == nested_loop_pairs(probe_keys, build_keys, outer)
     assert padded == (len(build_keys) in build_idx)
     # the numpy builder gives the same pairs whatever the size of the parts
-    # it grows them in, with one budget check before each part
+    # it grows them in, with one deadline check before each part
     for part in (1, 3, executor._TIMEOUT_CHECK_EVERY):
-        budget = CountingBudget()
+        deadline = CountingDeadline()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(executor, "_TIMEOUT_CHECK_EVERY", part)
             vector_probe, vector_build, vector_padded = _vector_pairs(
-                probe_keys, build_keys, outer, budget
+                probe_keys, build_keys, outer, deadline
             )
         assert (vector_probe.tolist(), vector_build.tolist()) == (probe_idx, build_idx)
         assert vector_padded == padded
-        assert budget.checks == -(-len(probe_idx) // part)
+        assert deadline.checks == -(-len(probe_idx) // part)
 
 
 def test_vector_pairs_only_over_narrow_key_spans():
@@ -448,7 +457,7 @@ def test_vector_pairs_only_over_narrow_key_spans():
     # leaves the join to the Python kernel
     for span, paired in ((2 * executor.SPAN, True), (2 * executor.SPAN + 1, False)):
         probe, build = array("I", [5]), array("I", [5 + span - 1])
-        assert (_vector_pairs(probe, build, True, _Budget(None)) is not None) == paired
+        assert (_vector_pairs(probe, build, True, Deadline()) is not None) == paired
 
 
 @PROPERTY

@@ -4,8 +4,10 @@ import json
 import random
 import struct
 import time
+import traceback
 import tracemalloc
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -464,9 +466,9 @@ class TestTimeoutAndValidation:
     @pytest.mark.parametrize("optional", [False, True])
     def test_hot_key_blowup_stops_before_its_pair_lists(self, monkeypatch, optional):
         # Every row shares the one join key, so the equi-join is a product.
-        # The OPTIONAL's right input is the larger, so it hashes its left
-        # input and packs its pairs into one array, which must also grow
-        # chunk by chunk.
+        # The OPTIONAL's right input is the larger, and the one it hashes:
+        # every left row finds all of its rows, and the pair lists must
+        # still grow chunk by chunk.
         left, right = 2000, 4000
         d = Dataset.from_strings(
             [(f"a{i}", "p", "k") for i in range(left)]
@@ -526,6 +528,43 @@ class TestTimeoutAndValidation:
         # paired in numpy: its pair arrays grow part by part as well
         monkeypatch.setattr(executor, "VECTOR_ROWS", 0)
         case(self, monkeypatch, *args)
+
+    @pytest.mark.parametrize(
+        "kind, site, raiser",
+        [
+            # the loop's check before the second step
+            ("static", "profile_unit", "_run_incremental"),
+            # the materialization's evaluation, and the final execution
+            ("eager", "evaluate", "_eval"),
+            ("static", "execute", "_eval"),
+        ],
+    )
+    def test_timeout_reports_the_run_budget(self, monkeypatch, kind, site, raiser):
+        # the clock jumps an hour ahead once `site` is first called
+        late = []
+        real_site = getattr(runtime, site)
+
+        def jump(*args):
+            late.append(True)
+            return real_site(*args)
+
+        now = time.monotonic
+        clock = SimpleNamespace(
+            perf_counter=time.perf_counter, monotonic=lambda: now() + 3600.0 * bool(late)
+        )
+        monkeypatch.setattr(executor, "time", clock)
+        monkeypatch.setattr(runtime, site, jump)
+        d = load_ntriples(D_TOY_NT)
+        q = parse_query("SELECT ?x ?c WHERE { ?x <type> <Post> . ?x <content> ?c . }")
+        with pytest.raises(QueryTimeout) as err:
+            run(q, d, Policy(kind), timeout_ms=250)
+        assert err.value.budget_ms == 250
+        assert str(err.value) == "query exceeded 250 ms budget"
+        frames = [frame.name for frame in traceback.extract_tb(err.value.__traceback__)]
+        assert frames[-2:] == [raiser, "check"]
+        # an evaluation times out inside the call that moved the clock, the
+        # step check only after it returned
+        assert ("jump" in frames) == (site != "profile_unit")
 
     def test_one_time_builds_stay_off_the_query_clock(self, monkeypatch):
         # POS takes 0.2 s to build here, and the query itself far less than
