@@ -20,7 +20,7 @@ from .frontend import parse_query, pretty_print, variable_correlations
 from .planner import cs_to_string, plan_cs
 from .qrg import build_qrg
 from .runtime import Policy, emit_trace, run
-from .store import Dataset, load_ntriples, scan, snapshot_load, snapshot_save
+from .store import Dataset, load_ntriples, resolve, scan, snapshot_load, snapshot_save
 
 __all__ = [
     "Dataset",
@@ -32,6 +32,7 @@ __all__ = [
     "parse_query",
     "plan_cs",
     "pretty_print",
+    "resolve",
     "run",
     "scan",
     "snapshot_load",

@@ -8,7 +8,7 @@ an unbound cell. Join matching follows solution-mapping compatibility, so
 an unbound shared variable matches anything and adopts the other side's
 value.
 
-A scan's columns are slices of the store's permutation arrays. A join
+A scan slices the range its pattern resolved to (`store.resolve`). A join
 pairs probe rows with build rows as two index lists and gathers each
 output column once over one of them. When every key cell is bound, the
 build input is hashed and each probe key looks its rows up: an inner
@@ -19,13 +19,14 @@ builds the same pairs in numpy, imported on that first join so that
 processes running only small joins never load it (`_vector_pairs`); row
 order is unchanged. A join of a small leaf input (a scan or an
 intermediate) with a scan whose range is much larger binds instead: the
-scan runs once per distinct key of the leaf, and the rows found, sorted
-back into scan order, are joined as above (`bind_inputs` states the
-rule). An OPTIONAL whose right input joins two scans first cuts those
-scans to the keys of its evaluated left input (`_reducible` states the
-rule). Filter and slice cut every column alike; distinct and sort gather
-them by row index. Row tuples are built only by `execute`, for the
-result; `evaluate`, which materializes partial results, builds none.
+scan's range is narrowed to each distinct key of the leaf, and the rows
+found, sorted back into scan order, are joined as above (`bind_inputs`
+states the rule). An OPTIONAL whose right input joins two scans first
+cuts those scans to the keys of its evaluated left input (`_reducible`
+states the rule). Filter and slice cut every column alike; distinct and
+sort gather them by row index. Row tuples are built only by `execute`,
+for the result; `evaluate`, which materializes partial results, builds
+none.
 
 Row order is deterministic and the same under every policy: an outer join
 gives its left rows in order, an inner join the rows of its larger input,
@@ -40,7 +41,7 @@ import logging
 import re
 import time
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, compress, islice, repeat
 from operator import eq, ge, gt, itemgetter, le, lt, mul, ne
 from typing import Callable, Optional, Union
@@ -48,16 +49,7 @@ from typing import Callable, Optional, Union
 from .errors import QueryTimeout, UnresolvedLeaf
 from .frontend import AND, OPT, OR, Constraint, FilterExpr, Modifiers, TriplePattern
 from .planner import CS, CSFilter, CSNode, PatternLeaf, RelationLeaf
-from .store import (
-    _U32_ARRAY,
-    Dataset,
-    Relation,
-    lexical_form,
-    pattern_schema,
-    range_size,
-    scan,
-    scan_order,
-)
+from .store import _U32_ARRAY, Dataset, Extent, Relation, lexical_form, resolve, scan
 
 log = logging.getLogger(__name__)
 
@@ -89,6 +81,8 @@ SPAN = 8
 class Scan:
     tp: TriplePattern
     schema: tuple[str, ...]
+    # the pattern resolved once; a plan compares and prints without it
+    extent: Extent = field(repr=False, compare=False)
 
 
 @dataclass
@@ -182,13 +176,15 @@ def compile_cs(
     projection: Optional[list[str]],
     modifiers: Optional[Modifiers],
     d: Dataset,
+    extents: Optional[dict[TriplePattern, Extent]] = None,
 ) -> PhysicalPlan:
     """Lower a candidate sequence to a physical operator tree.
 
     Projection/modifiers may be None to compile a bare fragment (used when
-    materializing partial results mid-query).
+    materializing partial results mid-query). `extents` holds patterns
+    already resolved; a pattern it lacks is resolved here.
     """
-    plan = _compile_node(cs, d)
+    plan = _compile_node(cs, d, extents or {})
     if modifiers and modifiers.order_by:
         plan = Sort(plan, modifiers.order_by, plan.schema)
     if projection is not None:
@@ -200,20 +196,21 @@ def compile_cs(
     return plan
 
 
-def _compile_node(cs: CS, d: Dataset) -> PhysicalPlan:
+def _compile_node(cs: CS, d: Dataset, extents: dict) -> PhysicalPlan:
     if isinstance(cs, PatternLeaf):
-        return Scan(cs.tp, pattern_schema(cs.tp))
+        ext = extents.get(cs.tp) or resolve(d, cs.tp)
+        return Scan(cs.tp, ext.schema, ext)
     if isinstance(cs, RelationLeaf):
         rel = d.intermediates.get(cs.rel_id)
         if rel is None:
             raise UnresolvedLeaf(f"intermediate R{cs.rel_id} is not registered")
         return FetchIntermediate(cs.rel_id, rel.schema)
     if isinstance(cs, CSFilter):
-        child = _compile_node(cs.child, d)
+        child = _compile_node(cs.child, d, extents)
         return FilterOp(child, cs.constraint, child.schema)
     assert isinstance(cs, CSNode)
-    left = _compile_node(cs.left, d)
-    right = _compile_node(cs.right, d)
+    left = _compile_node(cs.left, d, extents)
+    right = _compile_node(cs.right, d, extents)
     schema = _merged_schema(left.schema, right.schema)
     shared = tuple(v for v in left.schema if v in right.schema)
     if cs.op == OR:
@@ -250,16 +247,11 @@ def bind_inputs(
     """
     if not shared:
         return None
-    # each input's rows, where it may bind: known once, and only then
-    left_rows = _known_rows(left, d) if isinstance(right, Scan) else None
-    right_rows = _known_rows(right, d) if isinstance(left, Scan) and not outer else None
-    for leaf, rows, other, length in (
-        (left, left_rows, right, right_rows), (right, right_rows, left, left_rows)
-    ):
-        if rows is None:
+    for leaf, other in ((left, right),) if outer else ((left, right), (right, left)):
+        rows = _known_rows(leaf, d)
+        if rows is None or not isinstance(other, Scan):
             continue
-        if length is None:
-            length = range_size(d, other.tp)
+        length = _known_rows(other, d)
         if (rows + 1) * RATIO >= length:
             continue
         if not outer and (rows >= length or not _plain(other)):
@@ -273,16 +265,14 @@ def bind_inputs(
 def _plain(plan: PhysicalPlan) -> bool:
     """A scan with no repeated variable, whose range length is its row
     count."""
-    if not isinstance(plan, Scan):
-        return False
-    return len(plan.schema) == sum(a.is_var() for a in (plan.tp.s, plan.tp.p, plan.tp.o))
+    return isinstance(plan, Scan) and not plan.extent.equal
 
 
 def _known_rows(plan: PhysicalPlan, d: Dataset) -> Optional[int]:
     """A leaf input's rows as known before it runs (see `bind_inputs`);
     None for any other input."""
     if isinstance(plan, Scan):
-        return range_size(d, plan.tp)
+        return plan.extent.hi - plan.extent.lo
     if isinstance(plan, FetchIntermediate):
         return d.intermediates[plan.rel_id].size
     return None
@@ -343,7 +333,7 @@ def _eval(
     left row can match (see `_semi_cells`)."""
     if isinstance(plan, Scan):
         deadline.check()
-        return scan(d, plan.tp)
+        return scan(plan.extent)
     if isinstance(plan, FetchIntermediate):
         rel = d.intermediates.get(plan.rel_id)
         if rel is None:
@@ -594,17 +584,18 @@ def _lookup(plan: BindJoin, leaf: Relation, d: Dataset, deadline: Deadline) -> R
     """The rows of the scan input that join some row of `leaf`, in scan
     order.
 
-    The scan runs once per distinct key of `leaf`, with the key's ids in
-    place of the shared variables, each run with a deadline check. The rows
-    found are sorted back into the order of the scan's own range, whose
-    rows ascend in the cells of its `scan_order`.
+    The pattern is resolved once with the shared variables keyed; each
+    distinct key of `leaf` then bisects and scans its rows, with a
+    deadline check. The rows found are sorted back into the order of the
+    scan's own range, which ascends in the cells of its extent's `order`.
     """
     shared = plan.shared
     keys, _ = _keys(leaf, shared)
+    keyed = resolve(d, plan.scan.tp, shared)
     parts = []
     for key in set(keys):
         cells = key if len(shared) > 1 else (key,)
-        rel = scan(d, plan.scan.tp, dict(zip(shared, cells)))
+        rel = scan(keyed.at(cells))
         deadline.check(1 + rel.size)
         if rel.size:
             parts.append((cells, rel))
@@ -617,7 +608,7 @@ def _lookup(plan: BindJoin, leaf: Relation, d: Dataset, deadline: Deadline) -> R
     for k, v in enumerate(free):
         found[v] = array(_U32_ARRAY, chain.from_iterable(rel.columns[k] for _, rel in parts))
     rel = Relation(plan.scan.schema, [found[v] for v in plan.scan.schema], sum(sizes))
-    order = [found[v] for v in scan_order(plan.scan.tp)]
+    order = [found[v] for v in plan.scan.extent.order]
     sort_keys = order[0] if len(order) == 1 else list(zip(*order))
     if any(map(gt, sort_keys, islice(sort_keys, 1, None))):
         return _take(rel, sorted(range(rel.size), key=sort_keys.__getitem__))

@@ -48,7 +48,7 @@ from .planner import (
     plan_cs,
 )
 from .qrg import QRG, LeafVertex, build_qrg, collapse_materialized, region_of
-from .store import Dataset, Relation, register_intermediate, release_intermediates, scan_index
+from .store import Dataset, Relation, register_intermediate, release_intermediates, resolve
 
 POLICY_KINDS = ("static", "eager", "rosie")
 
@@ -245,13 +245,12 @@ def run(
 ) -> tuple[Relation, ExecutionTrace]:
     """Evaluate a parsed query under one policy; results are policy-independent.
 
-    The statistics and each pattern's permutation are read before the
-    clock starts, so their one-time builds on a fresh dataset count
-    against neither `timeout_ms` nor `total_ms`.
+    The statistics are read, and each pattern is resolved once for every
+    plan of the query, before the clock starts, so the one-time builds of
+    a fresh dataset count against neither `timeout_ms` nor `total_ms`.
     """
     stats = d.stats
-    for tp in q.patterns:
-        scan_index(d, tp)
+    extents = {tp: resolve(d, tp) for tp in q.patterns}
     deadline = Deadline(timeout_ms)
     trace = ExecutionTrace(query=query_text, policy=policy.kind)
     g = build_qrg(q, stats, d.dict)
@@ -261,7 +260,9 @@ def run(
 
     registered: list[int] = []
     try:
-        result = _run_incremental(q, d, policy, g, cs, trace, var_order, deadline, registered)
+        result = _run_incremental(
+            q, d, policy, g, cs, trace, var_order, deadline, registered, extents
+        )
     finally:
         # the query's intermediates die with it, however it ended
         release_intermediates(d, registered)
@@ -313,13 +314,14 @@ def _run_incremental(
     var_order: dict[str, int],
     deadline: Deadline,
     registered: list[int],
+    extents: dict,
 ) -> Relation:
     """Walk the plan step by step under any policy (`static` never
-    materializes); every relation id it registers is appended to
-    `registered` for the caller to release."""
+    materializes), compiling from the patterns' `extents`; every relation
+    id it registers is appended to `registered` for the caller to release."""
 
     def materialize(prefix: CS) -> tuple[int, int]:
-        rel = evaluate(compile_cs(prefix, None, None, d), d, deadline)
+        rel = evaluate(compile_cs(prefix, None, None, d, extents), d, deadline)
         rid = register_intermediate(d, rel)
         registered.append(rid)
         return rid, rel.exact_cardinality
@@ -397,7 +399,7 @@ def _run_incremental(
         k += 1
 
     assert cs_sub is not None
-    plan = compile_cs(cs_sub, q.projection, q.modifiers, d)
+    plan = compile_cs(cs_sub, q.projection, q.modifiers, d, extents)
     result = execute(plan, d, deadline)
     if short_circuited:
         assert result.exact_cardinality == 0

@@ -3,16 +3,17 @@
 Terms are interned into dense integer ids in first-seen order. Triples are
 kept in three sorted permutations (SPO, POS, OSP) so that every pattern with
 one or two bound positions scans a contiguous range. Each permutation is
-three columns of unsigned 32-bit ids, one `array` per position: a range is
-found by bisecting one column after the other, and a scan returns a
-`Relation` whose columns are the slices of its variable columns, so it
-builds no row tuple. A dataset is built from SPO alone: POS and OSP are
-derived from it by a stable sort of row indices, and the statistics,
-exact per-value counts (for each term the number of triples where it
-appears as subject, predicate, or object), by counting its columns. Each
-of the three is built once, on first read, so a load or a reopen, which
-read none of them, pays for none, and a query pays only for those it
-reads.
+three columns of unsigned 32-bit ids, one `array` per position. `resolve`
+turns a pattern, once per query, into its `Extent`: its constants' ids,
+its permutation and the range of rows that match, found by bisecting one
+column after the other. `scan` only slices that range, one `array` per
+variable, and builds no row tuple. A dataset is built from SPO alone: POS
+and OSP are derived from it by a stable sort of row indices, and the
+statistics, exact per-value counts (for each term the number of triples
+where it appears as subject, predicate, or object), by counting its
+columns. Each of the three is built once, on first read, so a load or a
+reopen, which read none of them, pays for none, and a query pays only for
+those it reads.
 
 A dataset is logically immutable after load: a structure built on first
 read is a function of SPO and the dictionary, so no reader can tell when
@@ -454,115 +455,118 @@ def _parse_term(line: str, pos: int, line_no: int, which: str) -> tuple[str, int
 
 # Each index: its `Dataset` attribute and the positions (0 S, 1 P, 2 O) its
 # columns hold, in column order.
-_SPO = ("spo", (0, 1, 2))
-_POS = ("pos", (1, 2, 0))
-_OSP = ("osp", (2, 0, 1))
-# the index for each set of bound positions, as (S, P, O) flags: the one
-# whose leading columns they are
-_INDEX = {
-    (False, False, False): _SPO, (True, False, False): _SPO,
-    (False, True, False): _POS, (False, False, True): _OSP,
-    (True, True, False): _SPO, (True, True, True): _SPO,
-    (False, True, True): _POS, (True, False, True): _OSP,
-}
+_INDEXES = (("spo", (0, 1, 2)), ("pos", (1, 2, 0)), ("osp", (2, 0, 1)))
+# the index for each set of bound positions: the one whose leading columns
+# they are, SPO where several are
+_INDEX = {frozenset(order[:k]): (name, order) for name, order in _INDEXES[::-1] for k in range(4)}
 
 
-def scan(d: Dataset, tp, binding: Optional[dict[str, TermId]] = None) -> Relation:
-    """All solutions of one triple pattern, schema in S,P,O order.
+class Extent(NamedTuple):
+    """A triple pattern resolved against a dataset (see `resolve`): the
+    permutation a scan of it reads, the rows of it that match, and where
+    its variables sit. A scan only slices it."""
 
-    `tp` is a frontend.TriplePattern; bound terms absent from the dictionary
-    yield the empty relation. Repeated variables constrain positions to be
-    equal. `binding` maps variables to term ids that stand in for them, as
-    constants: they leave the schema. The relation's columns are the slices
-    of the index range the pattern scans, one `array` per variable, so rows
-    keep the order of that range; no row tuple is built. A pattern without
-    variables has no column and one row per match.
+    cols: Columns  # the permutation's three id columns
+    positions: tuple[int, int, int]  # the pattern position (0 S, 1 P, 2 O) of each column
+    lo: int  # the matching rows are [lo, hi)
+    hi: int
+    ids: tuple  # the id at each pattern position, None where a variable is
+    first: dict[str, int]  # each free variable's first position, in S, P, O order
+    equal: tuple  # the position pairs a repeated free variable forces equal
+    keyed: tuple  # (position, index in the key) of each keyed variable
+
+    @property
+    def schema(self) -> tuple[str, ...]:
+        """The free variables, in S, P, O order."""
+        return tuple(self.first)
+
+    @property
+    def order(self) -> tuple[str, ...]:
+        """The free variables whose cells the rows ascend in, most
+        significant first: rows compare as the tuples of these cells."""
+        names = {pos: v for v, pos in self.first.items()}
+        names.update((b, names[a]) for a, b in self.equal)
+        return tuple(dict.fromkeys(names[pos] for pos in self.positions if pos in names))
+
+    def at(self, key: Sequence[TermId]) -> "Extent":
+        """The extent narrowed to the rows whose keyed variables hold the
+        cells of `key`, in the order `resolve` was given them."""
+        ids = list(self.ids)
+        for pos, k in self.keyed:
+            ids[pos] = key[k]
+        cols, positions, lo, hi, *rest = self
+        return Extent(cols, positions, *_narrow(cols, positions, ids, lo, hi), *rest)
+
+
+def resolve(d: Dataset, tp, keyed: Sequence[str] = ()) -> Extent:
+    """The extent of a frontend.TriplePattern: its constants' ids, the
+    permutation whose leading columns its bound positions are, and the
+    rows [lo, hi) that match the constants leading it, by two bisects per
+    constant. A repeated variable makes the range an upper bound of the
+    rows a scan keeps.
+
+    The variables in `keyed` count as bound when the permutation is chosen
+    but are left out of the schema; `Extent.at` finds their rows for each
+    key. A constant absent from the dictionary resolves to the empty range
+    of SPO, which every dataset holds, so no other permutation is read.
     """
-    ids, first, equal = _positions(d, tp, binding)
-    schema = tuple(first)
-    if ids is None:
-        return Relation(schema, [[] for _ in schema], 0)
-    cols, order, lo, hi = _extent(d, ids)
-    columns = [cols[order.index(pos)][lo:hi] for pos in first.values()]
-    if not equal:
-        return Relation(schema, columns, hi - lo)
-    agree = [
-        map(eq, cols[order.index(a)][lo:hi], cols[order.index(b)][lo:hi]) for a, b in equal
-    ]
-    keep = list(map(all, zip(*agree)))
-    columns = [array(_U32_ARRAY, compress(col, keep)) for col in columns]
-    return Relation(schema, columns, len(columns[0]))
-
-
-def range_size(d: Dataset, tp) -> int:
-    """The length of the index range a scan of `tp` reads: its row count
-    unless a variable repeats, then an upper bound. Two bisects per bound
-    position; no row is read."""
-    ids, _, _ = _positions(d, tp, None)
-    if ids is None:
-        return 0
-    _, _, lo, hi = _extent(d, ids)
-    return hi - lo
-
-
-def _positions(d: Dataset, tp, binding: Optional[dict[str, TermId]]) -> tuple:
-    """The id at each position of a pattern (None where a variable is free;
-    None for all when a constant is absent from the dictionary), the
-    position of each free variable's first occurrence, and the position
-    pairs a repeated free variable forces equal."""
-    ids: Optional[list[Optional[TermId]]] = [None, None, None]
+    ids: list[Optional[TermId]] = [None, None, None]
+    bound = set()
     first: dict[str, int] = {}
-    equal: list[tuple[int, int]] = []
+    equal = []
+    key_at = []
     absent = False
     for pos, atom in enumerate((tp.s, tp.p, tp.o)):
         if not atom.is_var():
             ids[pos] = d.dict.lookup(atom.value)
             absent = absent or ids[pos] is None
-        elif binding and atom.name in binding:
-            ids[pos] = binding[atom.name]
+            bound.add(pos)
+        elif atom.name in keyed:
+            key_at.append((pos, keyed.index(atom.name)))
+            bound.add(pos)
         elif atom.name in first:
             equal.append((first[atom.name], pos))
         else:
             first[atom.name] = pos
-    return (None if absent else ids), first, equal
-
-
-def _extent(d: Dataset, ids: list) -> tuple[Columns, tuple[int, int, int], int, int]:
-    """The index a pattern with these position ids (None where free) scans,
-    the positions of its columns, and the rows [lo, hi) that match them."""
-    name, order = _INDEX[ids[0] is not None, ids[1] is not None, ids[2] is not None]
+    # SPO when nothing can match, since every dataset holds it
+    name, positions = _INDEXES[0] if absent else _INDEX[frozenset(bound)]
     cols = getattr(d, name)
-    lo, hi = 0, len(cols[0])
-    for k, pos in enumerate(order):
-        if ids[pos] is None:
+    lo, hi = (0, 0) if absent else _narrow(cols, positions, ids, 0, len(cols[0]))
+    return Extent(cols, positions, lo, hi, tuple(ids), first, tuple(equal), tuple(key_at))
+
+
+def _narrow(cols: Columns, positions, ids, lo: int, hi: int) -> tuple[int, int]:
+    """The rows of [lo, hi) that hold `ids`, bisecting one column after
+    the other up to the first position without an id."""
+    for col, pos in zip(cols, positions):
+        tid = ids[pos]
+        if tid is None:
             break
-        lo = bisect_left(cols[k], ids[pos], lo, hi)
-        hi = bisect_right(cols[k], ids[pos], lo, hi)
-    return cols, order, lo, hi
+        lo = bisect_left(col, tid, lo, hi)
+        hi = bisect_right(col, tid, lo, hi)
+    return lo, hi
 
 
-def scan_index(d: Dataset, tp) -> Columns:
-    """The permutation a scan of `tp` reads, as `_extent` picks it, read
-    (and so built, on a fresh dataset) without looking up a range."""
-    name, _ = _INDEX[tuple(not atom.is_var() for atom in (tp.s, tp.p, tp.o))]
-    return getattr(d, name)
+def scan(ext: Extent) -> Relation:
+    """All solutions of a resolved triple pattern, schema in S,P,O order.
 
-
-def scan_order(tp) -> tuple[str, ...]:
-    """The variables of `tp` whose cells a scan's rows ascend in, most
-    significant first: rows compare as the tuples of these cells."""
-    atoms = (tp.s, tp.p, tp.o)
-    _, order = _INDEX[tuple(not atom.is_var() for atom in atoms)]
-    return tuple(dict.fromkeys(atoms[pos].name for pos in order if atoms[pos].is_var()))
-
-
-def pattern_schema(tp) -> tuple[str, ...]:
-    """Distinct variables of a triple pattern in S, P, O order."""
-    schema: list[str] = []
-    for atom in (tp.s, tp.p, tp.o):
-        if atom.is_var() and atom.name not in schema:
-            schema.append(atom.name)
-    return tuple(schema)
+    The relation's columns are the slices of the extent's range, one
+    `array` per free variable, so rows keep the order of that range and no
+    row tuple is built; a repeated variable keeps only the rows whose
+    positions agree. A pattern without variables has no column and one
+    row per match.
+    """
+    cols, positions, lo, hi = ext.cols, ext.positions, ext.lo, ext.hi
+    columns = [cols[positions.index(pos)][lo:hi] for pos in ext.first.values()]
+    if not ext.equal:
+        return Relation(ext.schema, columns, hi - lo)
+    agree = [
+        map(eq, cols[positions.index(a)][lo:hi], cols[positions.index(b)][lo:hi])
+        for a, b in ext.equal
+    ]
+    keep = list(map(all, zip(*agree)))
+    columns = [array(_U32_ARRAY, compress(col, keep)) for col in columns]
+    return Relation(ext.schema, columns, len(columns[0]))
 
 
 def register_intermediate(d: Dataset, r: Relation) -> RelationId:

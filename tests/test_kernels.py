@@ -12,6 +12,8 @@ runs through `run` under every policy. The equi-join pair builder is
 also checked on its own against a nested loop, index list by index list.
 Bind joins run against the hash joins they replace, row for row, with
 the choice forced through `RATIO`, and the choice rule itself is pinned.
+A query resolves each pattern once, before its clock starts, and a plan
+prints and compares without the extents its scans carry.
 An OPTIONAL group reduced to the keys of its left input gives the rows of
 the unreduced group in the same order. The numpy pair builder of large
 equi-joins, forced on through `VECTOR_ROWS`, gives the Python kernel's
@@ -57,8 +59,8 @@ from rosie.store import (
     Dataset,
     load_ntriples,
     make_literal,
-    pattern_schema,
     register_intermediate,
+    resolve,
     scan,
 )
 
@@ -380,7 +382,7 @@ def test_optional_group_scan_cut_only_when_its_sample_drops_rows(keys, kept):
     cells = {"y": {d.dict.lookup(k) for k in keys}}
     rel, size = executor._semi_scan(plan, cells, d, Deadline())
     assert (rel.size, size) == (kept, 200)
-    full = scan(d, plan.tp).rows
+    full = scan(resolve(d, plan.tp)).rows
     assert rel.rows == (full if kept == size else [row for row in full if row[0] in cells["y"]])
 
 
@@ -466,7 +468,7 @@ def test_scan_all_positions_constant(rows, s, p, o):
     # the parser wants a variable per pattern; the store serves this shape
     d = Dataset.from_strings(rows)
     pattern = tp(s, p, o)
-    rel = scan(d, pattern)
+    rel = scan(resolve(d, pattern))
     assert rel.schema == ()
     assert rel.rows == [()] * len(eval_node(Leaf(pattern), d))
 
@@ -593,7 +595,7 @@ def test_bind_join_from_an_intermediate(rows, text, leaf_right):
     inner = q.tree.kind == "And"
     cs = CSNode(q.tree.kind, *((pattern, leaf) if inner and leaf_right else (leaf, pattern)))
     top = check_bind_against_hash(d, cs, q)
-    shared = [v for v in group.schema if v in pattern_schema(pattern.tp)]
+    shared = [v for v in group.schema if v in resolve(d, pattern.tp).schema]
     if any(None in group.columns[group.schema.index(v)] for v in shared):
         assert top is None
     elif top is not None:
@@ -620,13 +622,20 @@ def test_join_result_never_binds(monkeypatch):
         assert isinstance(plan.right, Scan) and plan.right.tp.p.value == "comment_on"
 
 
-def test_sel2_shape_binds_under_every_policy(monkeypatch):
-    # ?s <x> <v> . ?s <y> ?y: two subjects carry <v>, and <y> has 400 rows
+SEL2_TEXT = "SELECT ?s ?y WHERE { ?s <x> <v> . ?s <y> ?y . }"
+
+
+def sel2_dataset() -> Dataset:
+    """Two subjects carry <v>, and <y> has 400 rows."""
     rows = [(f"e{i}", "y", f"w{i % 7}") for i in range(400)]
     rows += [(f"e{i}", "x", "v" if i in (16, 202) else f"u{i % 5}") for i in range(0, 400, 2)]
     rows.append(("e16", "y", "w3b"))
-    d = Dataset.from_strings(rows)
-    q = parse_query("SELECT ?s ?y WHERE { ?s <x> <v> . ?s <y> ?y . }")
+    return Dataset.from_strings(rows)
+
+
+def test_sel2_shape_binds_under_every_policy(monkeypatch):
+    d = sel2_dataset()
+    q = parse_query(SEL2_TEXT)
     expected = evaluate_query(q, d)
     assert sum(expected.values()) == 3
     plans = []
@@ -645,6 +654,58 @@ def test_sel2_shape_binds_under_every_policy(monkeypatch):
             mp.setattr(executor, "RATIO", NEVER)
             hashed, _ = run(q, d, Policy(kind))
         assert rel.rows == hashed.rows, kind
+
+
+@pytest.mark.parametrize("kind", ["static", "eager", "rosie"])
+@pytest.mark.parametrize("example", ["c6", "sel2"])
+def test_each_pattern_is_resolved_once_before_the_clock(monkeypatch, kind, example):
+    d, text = (qe_weights_dataset(), QE_TEXT) if example == "c6" else (sel2_dataset(), SEL2_TEXT)
+    q = parse_query(text)
+    resolved = []  # (module, pattern) of each resolve, in order
+    lookups = []  # the bind join of each lookup
+    at_clock = []  # the number of resolves when the query's clock starts
+
+    def counted(module):
+        original = module.resolve
+
+        def resolve(d, tp, *keyed):
+            resolved.append((module.__name__, tp))
+            return original(d, tp, *keyed)
+
+        return resolve
+
+    def lookup(plan, *args):
+        lookups.append(plan)
+        return original_lookup(plan, *args)
+
+    def clock(*args):
+        at_clock.append(len(resolved))
+        return Deadline(*args)
+
+    original_lookup = executor._lookup
+    for module in (runtime, executor):
+        monkeypatch.setattr(module, "resolve", counted(module))
+    monkeypatch.setattr(executor, "_lookup", lookup)
+    monkeypatch.setattr(runtime, "Deadline", clock)
+    rel, _ = run(q, d, Policy(kind))
+    assert Counter(rel.rows) == evaluate_query(q, d)
+    assert at_clock == [len(q.patterns)]
+    assert resolved == [("rosie.runtime", tp) for tp in q.patterns] + [
+        ("rosie.executor", plan.scan.tp) for plan in lookups
+    ]
+    assert bool(lookups) == (example == "sel2")
+
+
+def test_a_plan_prints_and_compares_without_its_extents():
+    # 5,000 triples: an extent's columns would print thousands of ids
+    d = Dataset.from_strings((f"s{i}", f"p{i % 3}", f"o{i}") for i in range(5000))
+    q = parse_query("SELECT * WHERE { ?s <p0> <o0> . ?s ?p ?x . }")
+    plan = compile_cs(as_written(q.tree), q.projection, q.modifiers, d)
+    assert bind_joins(plan)
+    assert len(repr(plan)) < 2000
+    for node in q.tree.left, q.tree.right:
+        first, second = (compile_cs(as_written(node), None, None, d) for _ in range(2))
+        assert first == second and first.extent is not second.extent
 
 
 # ---------------------------------------------------------------------------
@@ -740,7 +801,7 @@ def test_row_order_pinned_on_optional_with_larger_right_side():
         ("a4", "s1", "b1"), ("a4", "s1", "b3"), ("a4", "s1", "b6"),
     ]
     q = parse_query(text)
-    left, right = (scan(d, pattern) for pattern in q.patterns)
+    left, right = (scan(resolve(d, pattern)) for pattern in q.patterns)
     assert left.size < right.size
     rel = execute(compile_cs(as_written(q.tree), q.projection, q.modifiers, d), d)
     assert [tuple(None if c is None else d.dict.decode(c) for c in row) for row in rel.rows] == rows

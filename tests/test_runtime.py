@@ -35,7 +35,9 @@ from rosie import executor, runtime
 from rosie.planner import RelationLeaf, plan_cs
 from rosie.qrg import build_qrg, collapse_materialized
 from rosie.runtime import profile_unit
-from rosie.store import Dataset, load_ntriples, make_literal, register_intermediate, scan
+from rosie.store import (
+    Dataset, load_ntriples, make_literal, register_intermediate, resolve, scan,
+)
 
 from conftest import D_TOY_NT
 from genqueries import random_dataset, random_query_text
@@ -458,7 +460,7 @@ class TestTimeoutAndValidation:
         # two lists of one pointer per row of the product exist.
         d = uncorrelated_uniform()
         q = parse_query("SELECT * WHERE { ?a <a> ?x . ?b <b> ?y . ?c <c> ?z . }")
-        smallest = min(len(scan(d, pattern).rows) for pattern in q.patterns)
+        smallest = min(len(scan(resolve(d, pattern)).rows) for pattern in q.patterns)
         assert smallest == 2776
         index_lists_bytes = 2 * smallest**2 * struct.calcsize("P")
         assert peak_before_timeout(monkeypatch, q, d) < index_lists_bytes / 20

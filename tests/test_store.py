@@ -22,6 +22,7 @@ from rosie.store import (
     make_literal,
     lexical_form,
     register_intermediate,
+    resolve,
     scan,
     snapshot_load,
     snapshot_save,
@@ -154,33 +155,33 @@ class TestLoad:
 
 class TestScan:
     def test_type_post(self, d_toy):
-        rel = scan(d_toy, tp("?x", "type", "Post"))
+        rel = scan(resolve(d_toy, tp("?x", "type", "Post")))
         assert rel.schema == ("x",)
         got = {d_toy.dict.decode(row[0]) for row in rel.rows}
         assert got == {"p1", "p2"}
         assert rel.exact_cardinality == 2
 
     def test_full_wildcard(self, d_toy):
-        rel = scan(d_toy, tp("?s", "?p", "?o"))
+        rel = scan(resolve(d_toy, tp("?s", "?p", "?o")))
         assert rel.schema == ("s", "p", "o")
         assert rel.exact_cardinality == 8
 
     def test_no_match(self, d_toy):
-        assert scan(d_toy, tp("u1", "type", "Post")).rows == []
+        assert scan(resolve(d_toy, tp("u1", "type", "Post"))).rows == []
 
     def test_absent_term_yields_empty(self, d_toy):
-        assert scan(d_toy, tp("?x", "no_such_predicate", "?y")).rows == []
+        assert scan(resolve(d_toy, tp("?x", "no_such_predicate", "?y"))).rows == []
 
     def test_repeated_variable_requires_equality(self):
         d = Dataset.from_strings([("a", "p", "a"), ("a", "p", "b")])
-        rel = scan(d, tp("?x", "p", "?x"))
+        rel = scan(resolve(d, tp("?x", "p", "?x")))
         assert rel.schema == ("x",)
         assert [d.dict.decode(r[0]) for r in rel.rows] == ["a"]
 
     def test_scan_is_pure(self, d_toy):
         pattern = tp("?x", "type", "?t")
-        first = scan(d_toy, pattern)
-        second = scan(d_toy, pattern)
+        first = scan(resolve(d_toy, pattern))
+        second = scan(resolve(d_toy, pattern))
         assert first.schema == second.schema and first.rows == second.rows
 
     def test_all_shapes_against_naive_filter(self):
@@ -200,19 +201,19 @@ class TestScan:
                 p = f"p{rng.randrange(6)}" if rng.random() < 0.5 else "?b"
                 o = f"o{rng.randrange(17)}" if rng.random() < 0.5 else "?c"
                 pattern = tp(s, p, o)
-                assert scan(d, pattern).exact_cardinality == naive_scan_count(d, pattern)
+                assert scan(resolve(d, pattern)).exact_cardinality == naive_scan_count(d, pattern)
 
     def test_histograms_consistent_with_scans(self, d_toy):
         for term in d_toy.dict.terms():
             tid = d_toy.dict.lookup(term)
             assert d_toy.stats.count(tid, "P") == scan(
-                d_toy, tp("?s", term, "?o")
+                resolve(d_toy, tp("?s", term, "?o"))
             ).exact_cardinality
             assert d_toy.stats.count(tid, "S") == scan(
-                d_toy, tp(term, "?p", "?o")
+                resolve(d_toy, tp(term, "?p", "?o"))
             ).exact_cardinality
             assert d_toy.stats.count(tid, "O") == scan(
-                d_toy, tp("?s", "?p", term)
+                resolve(d_toy, tp("?s", "?p", term))
             ).exact_cardinality
 
     def test_stats_lookup_absent_term(self, d_toy):
@@ -258,8 +259,8 @@ class TestSnapshot:
         assert loaded.size == d_toy.size
         for shape in ALL_SHAPES:
             pattern = tp(*shape)
-            a = scan(d_toy, pattern)
-            b = scan(loaded, pattern)
+            a = scan(resolve(d_toy, pattern))
+            b = scan(resolve(loaded, pattern))
             decode_a = {tuple(d_toy.dict.decode(c) for c in row) for row in a.rows}
             decode_b = {tuple(loaded.dict.decode(c) for c in row) for row in b.rows}
             assert decode_a == decode_b
@@ -430,15 +431,25 @@ def test_load_save_and_reopen_derive_nothing(builds):
 
 def test_a_scan_derives_only_the_index_it_reads(builds):
     d = load_ntriples(D_TOY_NT)
-    assert scan(d, tp("?s", "type", "?o")).exact_cardinality == 3
+    assert scan(resolve(d, tp("?s", "type", "?o"))).exact_cardinality == 3
     (built,) = builds["permutations"]
     assert builds["histograms"] == []
     assert built is d.pos
     # every later read finds what the first one built
-    scan(d, tp("?s", "type", "?o"))
-    scan(d, tp("?s", "?p", "Post"))
+    scan(resolve(d, tp("?s", "type", "?o")))
+    scan(resolve(d, tp("?s", "?p", "Post")))
     assert d.stats.count(d.dict.lookup("type"), "P") == 3
     assert built_once(builds, d)
+
+
+@pytest.mark.parametrize("kind", ["static", "eager", "rosie"])
+def test_an_absent_constant_builds_no_permutation(builds, kind):
+    d = load_ntriples(D_TOY_NT)
+    # POS and OSP would hold the rows of these patterns, had <nope> any
+    for text in ("SELECT ?s WHERE { ?s <nope> ?o . }", "SELECT ?s WHERE { ?s ?p <nope> . }"):
+        rel, _ = run(parse_query(text), d, Policy(kind))
+        assert (rel.schema, rel.rows) == (("s",), [])
+    assert builds["permutations"] == []
 
 
 def test_concurrent_first_reads_derive_each_structure_once(builds):
