@@ -16,7 +16,7 @@ from .errors import (
     UnsupportedFeature,
     ZeroEstimate,
 )
-from .frontend import parse_query, pretty_print, variable_correlations
+from .frontend import parse_query, pretty_print
 from .planner import cs_to_string, plan_cs
 from .qrg import build_qrg
 from .runtime import Policy, emit_trace, run
@@ -37,7 +37,6 @@ __all__ = [
     "scan",
     "snapshot_load",
     "snapshot_save",
-    "variable_correlations",
     "DegenerateCard",
     "InvalidCollapse",
     "NotExchangeable",

@@ -28,6 +28,11 @@ sort gather them by row index. Row tuples are built only by `execute`,
 for the result; `evaluate`, which materializes partial results, builds
 none.
 
+`compile_cs` chooses every access path and looks up every leaf: a scan
+carries its resolved extent, an intermediate its relation and a bind join
+its keyed extent. Evaluation reads the dataset only to decode the terms
+that filters and sorts compare.
+
 Row order is deterministic and the same under every policy: an outer join
 gives its left rows in order, an inner join the rows of its larger input,
 each with its matches in the other input's order. The README's "Executor"
@@ -49,7 +54,7 @@ from typing import Callable, Optional, Union
 from .errors import QueryTimeout, UnresolvedLeaf
 from .frontend import AND, OPT, OR, Constraint, FilterExpr, Modifiers, TriplePattern
 from .planner import CS, CSFilter, CSNode, PatternLeaf, RelationLeaf
-from .store import _U32_ARRAY, Dataset, Extent, Relation, lexical_form, resolve, scan
+from .store import NUMERAL, _U32_ARRAY, Dataset, Extent, Relation, lexical_form, resolve, scan
 
 log = logging.getLogger(__name__)
 
@@ -59,12 +64,6 @@ _TIMEOUT_CHECK_EVERY = 4096
 # rows, and the bind join's own set-up about one lookup, as measured on
 # joins of 0 to 1,024 keys against 64 to 62,500 rows (see `bind_inputs`).
 RATIO = 64
-
-# An OPTIONAL group's scan is cut to the left input's keys only when at
-# most 3 in 4 of an evenly spaced sample of about SAMPLE of its rows match
-# them: a cut that keeps more costs more than the join rows it saves (see
-# `_semi_scan`).
-SAMPLE = 64
 
 # An equi-join on one variable whose two inputs hold VECTOR_ROWS rows or
 # more pairs them in numpy (see `_vector_pairs`); on smaller joins numpy's
@@ -89,6 +88,8 @@ class Scan:
 class FetchIntermediate:
     rel_id: int
     schema: tuple[str, ...]
+    # the intermediate looked up once, at compile time
+    rel: Relation = field(repr=False, compare=False)
 
 
 @dataclass
@@ -118,6 +119,8 @@ class BindJoin:
     shared: tuple[str, ...]
     schema: tuple[str, ...]
     outer: bool
+    # the scan's pattern resolved with the shared variables keyed
+    keyed: Extent = field(repr=False, compare=False)
 
 
 @dataclass
@@ -204,7 +207,7 @@ def _compile_node(cs: CS, d: Dataset, extents: dict) -> PhysicalPlan:
         rel = d.intermediates.get(cs.rel_id)
         if rel is None:
             raise UnresolvedLeaf(f"intermediate R{cs.rel_id} is not registered")
-        return FetchIntermediate(cs.rel_id, rel.schema)
+        return FetchIntermediate(cs.rel_id, rel.schema, rel)
     if isinstance(cs, CSFilter):
         child = _compile_node(cs.child, d, extents)
         return FilterOp(child, cs.constraint, child.schema)
@@ -216,9 +219,10 @@ def _compile_node(cs: CS, d: Dataset, extents: dict) -> PhysicalPlan:
     if cs.op == OR:
         return UnionOp(left, right, schema)
     outer = cs.op == OPT
-    bound = bind_inputs(left, right, shared, outer, d)
+    bound = bind_inputs(left, right, shared, outer)
     if bound is not None:
-        return BindJoin(*bound, shared, schema, outer)
+        leaf, other = bound
+        return BindJoin(leaf, other, shared, schema, outer, resolve(d, other.tp, shared))
     if outer:
         return LeftOuterJoin(left, right, shared, schema)
     assert cs.op == AND
@@ -230,7 +234,6 @@ def bind_inputs(
     right: PhysicalPlan,
     shared: tuple[str, ...],
     outer: bool,
-    d: Dataset,
 ) -> Optional[tuple[Union[Scan, FetchIntermediate], Scan]]:
     """The (leaf, scan) inputs of a join that is to look its scan input up
     once per distinct key of its leaf input, or None to hash the join.
@@ -248,15 +251,15 @@ def bind_inputs(
     if not shared:
         return None
     for leaf, other in ((left, right),) if outer else ((left, right), (right, left)):
-        rows = _known_rows(leaf, d)
+        rows = _known_rows(leaf)
         if rows is None or not isinstance(other, Scan):
             continue
-        length = _known_rows(other, d)
+        length = _known_rows(other)
         if (rows + 1) * RATIO >= length:
             continue
         if not outer and (rows >= length or not _plain(other)):
             continue
-        if isinstance(leaf, FetchIntermediate) and _keys(d.intermediates[leaf.rel_id], shared)[1]:
+        if isinstance(leaf, FetchIntermediate) and _keys(leaf.rel, shared)[1]:
             continue
         return leaf, other
     return None
@@ -268,13 +271,13 @@ def _plain(plan: PhysicalPlan) -> bool:
     return isinstance(plan, Scan) and not plan.extent.equal
 
 
-def _known_rows(plan: PhysicalPlan, d: Dataset) -> Optional[int]:
+def _known_rows(plan: PhysicalPlan) -> Optional[int]:
     """A leaf input's rows as known before it runs (see `bind_inputs`);
     None for any other input."""
     if isinstance(plan, Scan):
         return plan.extent.hi - plan.extent.lo
     if isinstance(plan, FetchIntermediate):
-        return d.intermediates[plan.rel_id].size
+        return plan.rel.size
     return None
 
 
@@ -325,56 +328,49 @@ def execute(plan: PhysicalPlan, d: Dataset, deadline: Optional[Deadline] = None)
     return Relation(rel.schema, rel.columns, rel.size, rel.rows)
 
 
-def _eval(
-    plan: PhysicalPlan, d: Dataset, deadline: Deadline, cells: Optional[dict] = None
-) -> Relation:
-    """`plan` evaluated to a relation; `cells`, passed down an OPTIONAL's
-    right input, lets the joins that `_reducible` finds drop the rows no
-    left row can match (see `_semi_cells`)."""
+def _eval(plan: PhysicalPlan, d: Dataset, deadline: Deadline) -> Relation:
     if isinstance(plan, Scan):
         deadline.check()
         return scan(plan.extent)
     if isinstance(plan, FetchIntermediate):
-        rel = d.intermediates.get(plan.rel_id)
-        if rel is None:
-            raise UnresolvedLeaf(f"intermediate R{plan.rel_id} is not registered")
-        return rel
+        return plan.rel
     if isinstance(plan, HashJoin):
-        if cells and _reducible(plan):
-            # oriented by the unreduced row counts, as the join would be
-            (left, left_size), (right, right_size) = (
-                _semi_scan(side, cells, d, deadline) for side in (plan.left, plan.right)
-            )
-        else:
-            left = _eval(plan.left, d, deadline)
-            right = _eval(plan.right, d, deadline)
-            left_size, right_size = left.size, right.size
-        if plan.shared and left_size <= right_size:
-            # the larger input probes an inner join, the right one on a tie
-            left, right = right, left
-        return _join(left, right, plan.shared, plan.schema, False, deadline)
+        left = _eval(plan.left, d, deadline)
+        right = _eval(plan.right, d, deadline)
+        return _inner_join(plan, left, right, left.size, right.size, deadline)
     if isinstance(plan, LeftOuterJoin):
         left = _eval(plan.left, d, deadline)
         if not left.size:
             return Relation(plan.schema, [[] for _ in plan.schema], 0)
-        right = _eval(plan.right, d, deadline, _semi_cells(left, plan))
+        if _reducible(plan.right):
+            # each shared variable bound in every left row cuts both scans
+            # (an unbound left cell matches anything); the join is oriented
+            # by the row counts before the cut, as it would be without it
+            cells = {v: set(_column(left, v)) for v in plan.shared}
+            cells = {v: seen for v, seen in cells.items() if None not in seen}
+            (a, a_size), (b, b_size) = (
+                _semi_scan(side, cells, deadline) for side in (plan.right.left, plan.right.right)
+            )
+            right = _inner_join(plan.right, a, b, a_size, b_size, deadline)
+        else:
+            right = _eval(plan.right, d, deadline)
         return _join(left, right, plan.shared, plan.schema, True, deadline)
     if isinstance(plan, BindJoin):
         leaf = _eval(plan.leaf, d, deadline)
-        found = _lookup(plan, leaf, d, deadline)
+        found = _lookup(plan, leaf, deadline)
         if plan.outer:
             return _join(leaf, found, plan.shared, plan.schema, True, deadline)
         # the scan is the larger input, so its rows lead, as in a hash join
         return _join(found, leaf, plan.shared, plan.schema, False, deadline)
     if isinstance(plan, UnionOp):
-        left = _eval(plan.left, d, deadline, cells)
-        right = _eval(plan.right, d, deadline, cells)
+        left = _eval(plan.left, d, deadline)
+        right = _eval(plan.right, d, deadline)
         columns = [
             list(chain(_column(left, v), _column(right, v))) for v in plan.schema
         ]
         return Relation(plan.schema, columns, left.size + right.size)
     if isinstance(plan, FilterOp):
-        rel = _eval(plan.child, d, deadline, cells)
+        rel = _eval(plan.child, d, deadline)
         deadline.check(rel.size)
         return _filter(rel, plan.constraint, d)
     if isinstance(plan, Project):
@@ -409,58 +405,43 @@ def _eval(
     raise TypeError(f"unknown plan node {plan!r}")
 
 
-def _reducible(plan: PhysicalPlan) -> bool:
-    """Whether an OPTIONAL's right input holds an inner join of two plain
-    scans (no repeated variable), itself or under unions and filters: the
-    join that `_eval` reduces to the keys of the left input.
+def _inner_join(
+    plan: HashJoin, left: Relation, right: Relation, left_size: int, right_size: int,
+    deadline: Deadline,
+) -> Relation:
+    """`plan`'s inner join of its evaluated inputs, the input of the larger
+    size given probing, the right one on a tie."""
+    if plan.shared and left_size <= right_size:
+        left, right = right, left
+    return _join(left, right, plan.shared, plan.schema, False, deadline)
 
-    A lone scan is not reduced, since the outer join's hash probe already
+
+def _reducible(plan: PhysicalPlan) -> bool:
+    """Whether an OPTIONAL's right input is an inner join of two plain
+    scans (no repeated variable), which `_eval` cuts to the keys of the
+    left input.
+
+    A lone scan is not cut, since the outer join's hash probe already
     drops its unmatched rows. Nor is any other join: an inner join's order
-    follows its larger input, known before reduction only for plain scans.
+    follows its larger input, known before the cut only for plain scans.
+    Each variable cuts on its own, so the cut join holds every row that
+    matches and maybe more; the outer join pairs them exactly.
     """
-    if isinstance(plan, UnionOp):
-        return _reducible(plan.left) or _reducible(plan.right)
-    if isinstance(plan, FilterOp):
-        return _reducible(plan.child)
     return isinstance(plan, HashJoin) and _plain(plan.left) and _plain(plan.right)
 
 
-def _semi_cells(left: Relation, plan: LeftOuterJoin) -> dict:
-    """The cells a right row of `plan` may hold and still match a row of
-    its evaluated `left` input, for each shared variable bound in every
-    left row (an unbound left cell matches anything); empty when the right
-    input has no join to reduce.
-
-    Each variable restricts on its own, so the reduced right input is a
-    superset of the rows that match; the outer join pairs them exactly.
-    """
-    if not _reducible(plan.right):
-        return {}
-    cells = {}
-    for v in plan.shared:
-        seen = set(_column(left, v))
-        if None not in seen:
-            cells[v] = seen
-    return cells
-
-
-def _semi_scan(plan: Scan, cells: dict, d: Dataset, deadline: Deadline) -> tuple[Relation, int]:
+def _semi_scan(plan: Scan, cells: dict, deadline: Deadline) -> tuple[Relation, int]:
     """The rows of a scan whose cell of each variable in `cells` is one of
     its cells there, in scan order, and the scan's row count before that.
 
-    A variable cuts only when a sample of the scan's rows shows it dropping
-    more than a quarter of them (see SAMPLE); a hot key or a left input
-    holding most keys leaves the rows to the join. Each cut takes a deadline
-    check for the rows it reads. The columns stay `array`s, so `_keys`
-    still knows that no cell is unbound.
+    Each cut takes a deadline check for the rows it reads. The columns stay
+    `array`s, so `_keys` still knows that no cell is unbound.
     """
-    rel = _eval(plan, d, deadline)
+    deadline.check()
+    rel = scan(plan.extent)
     size = rel.size
     for k, v in enumerate(rel.schema):
         if v not in cells or not rel.size:
-            continue
-        sample = rel.columns[k][:: max(1, rel.size // SAMPLE)]
-        if sum(map(cells[v].__contains__, sample)) * 4 > len(sample) * 3:
             continue
         deadline.check(rel.size)
         keep = list(map(cells[v].__contains__, rel.columns[k]))
@@ -580,22 +561,21 @@ def _join(
     return Relation(schema, columns, len(probe_idx))
 
 
-def _lookup(plan: BindJoin, leaf: Relation, d: Dataset, deadline: Deadline) -> Relation:
+def _lookup(plan: BindJoin, leaf: Relation, deadline: Deadline) -> Relation:
     """The rows of the scan input that join some row of `leaf`, in scan
     order.
 
-    The pattern is resolved once with the shared variables keyed; each
-    distinct key of `leaf` then bisects and scans its rows, with a
-    deadline check. The rows found are sorted back into the order of the
-    scan's own range, which ascends in the cells of its extent's `order`.
+    Each distinct key of `leaf` bisects the keyed extent and scans its
+    rows, with a deadline check. The rows found are sorted back into the
+    order of the scan's own range, which ascends in the cells of its
+    extent's `order`.
     """
     shared = plan.shared
     keys, _ = _keys(leaf, shared)
-    keyed = resolve(d, plan.scan.tp, shared)
     parts = []
     for key in set(keys):
         cells = key if len(shared) > 1 else (key,)
-        rel = scan(keyed.at(cells))
+        rel = scan(plan.keyed.at(cells))
         deadline.check(1 + rel.size)
         if rel.size:
             parts.append((cells, rel))
@@ -822,8 +802,7 @@ def _filter(rel: Relation, constraint: Constraint, d: Dataset) -> Relation:
     return Relation(rel.schema, columns, size)
 
 
-# a SPARQL numeral: INTEGER, DECIMAL or DOUBLE, optionally signed
-_NUMERAL = re.compile(r"[+-]?(?:[0-9]+|[0-9]*\.[0-9]+|(?:[0-9]+\.?[0-9]*|\.[0-9]+)[eE][+-]?[0-9]+)")
+_NUMERAL = re.compile(NUMERAL)
 
 
 def numeric_value(lexical: str) -> Optional[float]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import EscapeError, QuerySyntaxError, UnsupportedFeature
-from .store import LANGTAG, escape_literal, make_literal, unescape
+from .store import LANGTAG, NUMERAL, escape_literal, make_literal, unescape
 
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 
@@ -30,7 +30,6 @@ OPT = "Opt"
 FILTER = "Filter"
 
 POSITIONS = ("S", "P", "O")
-_POS_ORDER = {"S": 0, "P": 1, "O": 2}
 
 
 # ---------------------------------------------------------------------------
@@ -155,17 +154,6 @@ class Query:
         return "C" if len(self.constraints) == 1 else f"C{c.ordinal}"
 
 
-def variable_correlations(q: Query) -> dict[str, list[tuple[int, str]]]:
-    """Every (tp id, position) occurrence per variable, deterministic order."""
-    out: dict[str, list[tuple[int, str]]] = {}
-    for tp in q.patterns:
-        for pos, name in tp.variables():
-            out.setdefault(name, []).append((tp.id, pos))
-    for name in out:
-        out[name].sort(key=lambda e: (e[0], _POS_ORDER[e[1]]))
-    return out
-
-
 def query_variables(q: Query) -> list[str]:
     """Distinct variables in first-occurrence (textual) order."""
     seen: list[str] = []
@@ -187,7 +175,7 @@ _TOKEN_RE = re.compile(
   | (?P<VAR>[?$][A-Za-z_][A-Za-z0-9_]*)
   | (?P<STRING>"(?:[^"\\\n]|\\.)*")
   | (?P<PNAME>[A-Za-z_][A-Za-z0-9_.-]*:[A-Za-z0-9_.-]*|:[A-Za-z0-9_.-]+)
-  | (?P<NUMBER>[+-]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)
+  | (?P<NUMBER>""" + NUMERAL + r""")
   | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<LANGTAG>@""" + LANGTAG + r""")
   | (?P<PUNCT>\^\^|&&|\|\||!=|<=|>=|[{}().,;=<>@!|/^*+])
@@ -605,9 +593,11 @@ class _Parser:
             self.expect_punct(")")
             return var, None
         if tok.kind == "PNAME":
+            self.next()
+            if not self.at_punct("("):
+                return None, self.expand_pname(tok)
             # cast syntax like xsd:integer(?v); comparisons are generic anyway
             self.next()
-            self.expect_punct("(")
             var = self.parse_var_token()
             self.expect_punct(")")
             return var, None
@@ -746,7 +736,7 @@ def _render_filter(c: Constraint) -> str:
             parts.append(f'regex(str(?{e.var}), "{escape_literal(e.operand)}"{flag_part})')
         else:
             operand = e.operand
-            if not re.fullmatch(r"[+-]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?", operand):
+            if not re.fullmatch(NUMERAL, operand):
                 operand = f'"{escape_literal(operand)}"'
             parts.append(f"?{e.var} {e.op} {operand}")
     return "FILTER (" + " && ".join(parts) + ")"

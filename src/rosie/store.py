@@ -55,6 +55,11 @@ _U32_ARRAY = next(code for code in "IL" if array(code).itemsize == 4)
 # a language tag, in N-Triples and in queries alike
 LANGTAG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
 
+# a SPARQL numeral, DOUBLE, DECIMAL or INTEGER, optionally signed, in a
+# query and in a FILTER comparison alike; the longer forms come first, so
+# that a match at a token's start takes the whole numeral
+NUMERAL = r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)[eE][+-]?[0-9]+|[0-9]*\.[0-9]+|[0-9]+)"
+
 # ECHAR, the single-character escapes of N-Triples and SPARQL strings
 _ESCAPES = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
 _HEX = re.compile("[0-9A-Fa-f]+")

@@ -4,12 +4,20 @@ Queries are produced as text in the supported grammar: a conjunctive core
 whose patterns chain on shared variables, optionally a union of small
 groups, an optional block, and a filter over a bound variable. Terms mix
 dataset vocabulary with occasional unknowns so empty scans stay covered.
+
+Run as a script (`PYTHONPATH=src python tests/genqueries.py`), it prints
+one SHA-256 over a fixed sweep (`sweep_digest`): a change that keeps every
+result and every trace decision keeps the digest.
 """
 
 from __future__ import annotations
 
+import io
+import json
 import random
 
+from rosie.frontend import parse_query
+from rosie.runtime import POLICY_KINDS, Policy, emit_trace, run
 from rosie.store import Dataset, make_literal
 
 
@@ -109,3 +117,39 @@ class QueryBuilder:
 
 def random_query_text(rng: random.Random, max_tps: int = 8) -> str:
     return QueryBuilder(rng, max_tps).build()
+
+
+def sweep_digest(seeds: range = range(200), queries: int = 8) -> str:
+    """One SHA-256 over `queries` random queries per seed, each run under
+    every policy on a fresh copy of the seed's dataset, so that relation
+    ids do not depend on earlier runs. Each run contributes its schema, its
+    decoded rows in order, `trace.plans` and its `--trace-json` document
+    without the `ms` and `total_ms` timings."""
+    # imported here: hashlib loads OpenSSL, some 3.5 MB of resident memory
+    # that every process importing this module (the benchmark's too) would
+    # carry
+    import hashlib
+
+    digest = hashlib.sha256()
+    for seed in seeds:
+        rng = random.Random(seed)
+        random_dataset(rng)
+        for text in [random_query_text(rng) for _ in range(queries)]:
+            q = parse_query(text)
+            for kind in POLICY_KINDS:
+                d = random_dataset(random.Random(seed))
+                rel, trace = run(q, d, Policy(kind))
+                rows = [[None if t is None else d.dict.decode(t) for t in row] for row in rel.rows]
+                sink = io.StringIO()
+                emit_trace(trace, sink)
+                doc = json.loads(sink.getvalue())
+                del doc["total_ms"]
+                for step in doc["steps"]:
+                    del step["ms"]
+                record = [list(rel.schema), rows, trace.plans, doc]
+                digest.update(json.dumps(record, separators=(",", ":")).encode("utf-8"))
+    return digest.hexdigest()
+
+
+if __name__ == "__main__":
+    print(sweep_digest())

@@ -11,7 +11,6 @@ from rosie.frontend import (
     OpNode,
     parse_query,
     pretty_print,
-    variable_correlations,
 )
 from rosie.runtime import Policy, run
 from rosie.store import lexical_form, load_ntriples
@@ -59,7 +58,6 @@ class TestParseShape:
         q = parse_query("SELECT ?x WHERE { ?x <type> <Post> . }")
         assert len(q.patterns) == 1
         assert isinstance(q.tree, Leaf)
-        assert variable_correlations(q) == {"x": [(1, "S")]}
 
     def test_leaf_count_equals_pattern_count(self):
         q = parse_query(QE_TEXT)
@@ -144,6 +142,20 @@ class TestFilters:
         )
         e = q.constraints[0].exprs[0]
         assert (e.var, e.op, e.operand) == ("v", ">", "54")
+
+    def test_prefixed_name_constant(self):
+        # a prefixed name followed by "(" is a cast, else an IRI constant
+        q = parse_query(
+            "PREFIX ex: <http://e/> SELECT * WHERE { ?s ?p ?o FILTER(?o = ex:b) }"
+        )
+        e = q.constraints[0].exprs[0]
+        assert (e.var, e.op, e.operand) == ("o", "=", "http://e/b")
+        d = load_ntriples("<a> <p> <http://e/b> .\n<a> <p> <http://e/c> .\n")
+        for kind in ("static", "eager", "rosie"):
+            rel, _ = run(q, d, Policy(kind))
+            assert [[d.dict.decode(t) for t in row] for row in rel.rows] == [
+                ["a", "p", "http://e/b"]
+            ]
 
     def test_filter_scopes_to_its_group(self):
         q = parse_query(
@@ -240,6 +252,20 @@ def test_language_tag_with_subtags_finds_the_loaded_row():
         assert [[d.dict.decode(t) for t in row] for row in rel.rows] == [["s"]]
 
 
+def test_numerals_follow_the_sparql_grammar():
+    # "1." is the numeral 1 and the dot that ends its triple
+    d = load_ntriples('<a> <p> "1" .\n<a> <q> <b> .\n')
+    q = parse_query("SELECT * WHERE { ?s <p> 1. ?s <q> ?o }")
+    for kind in ("static", "eager", "rosie"):
+        rel, _ = run(q, d, Policy(kind))
+        assert [[d.dict.decode(t) for t in row] for row in rel.rows] == [["a", "b"]]
+    q = parse_query("SELECT * WHERE { ?s <p> ?o . FILTER(?o > 1.e5 && ?o < .5E-3) }")
+    assert [e.operand for e in q.constraints[0].exprs] == ["1.e5", ".5E-3"]
+    # only ASCII digits make a numeral
+    with pytest.raises(QuerySyntaxError):
+        parse_query("SELECT * WHERE { ?s <p> ?o . FILTER(?o > \u0661) }")
+
+
 class TestStringEscapes:
     """SPARQL strings decode their escapes as N-Triples literals do."""
 
@@ -283,10 +309,15 @@ class TestStringEscapes:
             assert reason in err.value.expected
 
 
+def occurrences(q, var: str) -> list[tuple[int, str]]:
+    """Each (pattern id, position) at which `var` occurs, in textual order."""
+    return [(tp.id, pos) for tp in q.patterns for pos, name in tp.variables() if name == var]
+
+
 class TestCorrelations:
     def test_example_p1_occurrences(self):
         q = parse_query(QE_TEXT)
-        assert variable_correlations(q)["p1"] == [
+        assert occurrences(q, "p1") == [
             (3, "O"),
             (4, "S"),
             (5, "S"),
@@ -295,11 +326,11 @@ class TestCorrelations:
 
     def test_same_pattern_twice(self):
         q = parse_query("SELECT ?x WHERE { ?x <p> ?x . }")
-        assert variable_correlations(q)["x"] == [(1, "S"), (1, "O")]
+        assert occurrences(q, "x") == [(1, "S"), (1, "O")]
 
     def test_order_is_deterministic(self):
         q = parse_query("SELECT * WHERE { ?a ?x ?a . ?b <q> ?a . }")
-        assert variable_correlations(q)["a"] == [(1, "S"), (1, "O"), (2, "O")]
+        assert occurrences(q, "a") == [(1, "S"), (1, "O"), (2, "O")]
 
 
 ROUND_TRIP_QUERIES = [
