@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import EscapeError, QuerySyntaxError, UnsupportedFeature
 from .store import LANGTAG, NUMERAL, escape_literal, make_literal, unescape
 
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
+XSD = "http://www.w3.org/2001/XMLSchema#"
 
 AND = "And"
 OR = "Or"
@@ -168,10 +169,12 @@ def query_variables(q: Query) -> list[str]:
 # Tokenizer
 # ---------------------------------------------------------------------------
 
+# one match per token, with the whitespace and comments in front of it; a
+# character that starts no token matches as BAD, so every match succeeds
+# without backtracking
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<WS>\s+|\#[^\n]*)
-  | (?P<IRIREF><[^<>"{}|^`\\\s]*>)
+    r"""(?:\s+|\#[^\n]*)*(?:
+    (?P<IRIREF><[^<>"{}|^`\\\s]*>)
   | (?P<VAR>[?$][A-Za-z_][A-Za-z0-9_]*)
   | (?P<STRING>"(?:[^"\\\n]|\\.)*")
   | (?P<PNAME>[A-Za-z_][A-Za-z0-9_.-]*:[A-Za-z0-9_.-]*|:[A-Za-z0-9_.-]+)
@@ -179,13 +182,14 @@ _TOKEN_RE = re.compile(
   | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<LANGTAG>@""" + LANGTAG + r""")
   | (?P<PUNCT>\^\^|&&|\|\||!=|<=|>=|[{}().,;=<>@!|/^*+])
-    """,
+  | (?P<EOF>\Z)
+  | (?P<BAD>.)
+    )""",
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     pos: int
@@ -193,17 +197,17 @@ class _Token:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
+    match = _TOKEN_RE.match
     pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise QuerySyntaxError(pos, f"a token (got {text[pos]!r})")
-        kind = m.lastgroup or ""
-        if kind != "WS":
-            tokens.append(_Token(kind, m.group(), pos))
-        pos = m.end()
-    tokens.append(_Token("EOF", "", len(text)))
-    return tokens
+    while True:
+        m = match(text, pos)
+        kind = m.lastgroup
+        start, pos = m.span(kind)
+        if kind == "BAD":
+            raise QuerySyntaxError(start, f"a token (got {text[start]!r})")
+        tokens.append(_Token(kind, text[start:pos], start))
+        if kind == "EOF":
+            return tokens
 
 
 _UNSUPPORTED_FORMS = {"ASK", "CONSTRUCT", "DESCRIBE", "INSERT", "DELETE"}
@@ -229,8 +233,8 @@ class _Parser:
 
     # -- token helpers ----------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
+    def peek(self) -> _Token:
+        return self.tokens[self.i]
 
     def next(self) -> _Token:
         tok = self.tokens[self.i]
@@ -239,7 +243,7 @@ class _Parser:
         return tok
 
     def at_keyword(self, *words: str) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.i]
         return tok.kind == "IDENT" and tok.text.upper() in words
 
     def expect_keyword(self, word: str) -> _Token:
@@ -254,7 +258,7 @@ class _Parser:
         return self.next()
 
     def at_punct(self, *texts: str) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.i]
         return tok.kind == "PUNCT" and tok.text in texts
 
     # -- query ---------------------------------------------------------------
@@ -287,9 +291,10 @@ class _Parser:
             modifiers=modifiers,
             constraints=self.constraints,
         )
-        in_query = set(query_variables(q))
+        variables = query_variables(q)
+        in_query = set(variables)
         if projection is None:
-            q.projection = query_variables(q)
+            q.projection = variables
         else:
             for name, pos in projection:
                 if name not in in_query:
@@ -474,7 +479,9 @@ class _Parser:
             return Term(self.parse_literal()[1])
         if tok.kind == "NUMBER":
             self.next()
-            return Term(make_literal(tok.text))
+            # typed by its branch of NUMERAL: DOUBLE, DECIMAL or INTEGER
+            kind = "double" if "e" in tok.text.lower() else "decimal" if "." in tok.text else "integer"
+            return Term(make_literal(tok.text, datatype=XSD + kind))
         if tok.kind == "IDENT" and tok.text == "a":
             self.next()
             return Term(RDF_TYPE)

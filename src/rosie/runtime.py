@@ -4,8 +4,9 @@ The adaptive loop walks the planned candidate sequence step by step. Before
 appending the next unit it bounds the real cardinality of the extended
 prefix; when the adjusted upper error crosses the threshold and no
 alternative ordering of the same region looks at least as good, the prefix
-is materialized, the graph collapses around the exact intermediate, and
-planning restarts from it. A materialized empty prefix short-circuits the
+is materialized and spliced into the plan: the rest of the plan continues
+from a relation leaf that holds the exact intermediate, with the bounds
+restarted at its row count. A materialized empty prefix short-circuits the
 remaining steps (joins against an empty operand cannot produce rows).
 
 One loop serves all three policies: `static` is the walk that never
@@ -13,9 +14,9 @@ materializes, so it executes the initial plan as planned; `eager`
 materializes after every join step.
 
 The decision code reads only the query graph: each leaf's estimate and
-interval sit on its vertex, computed once per query by `build_qrg` (or, for
-a materialized prefix, set to its row count by the collapse). Only
-execution touches the dataset.
+interval sit on its vertex, computed once per query by `build_qrg`; a
+materialized prefix is known by its row count alone. Only execution touches
+the dataset.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .planner import (
     CS,
     CSFilter,
     CSNode,
+    LinStep,
     PatternLeaf,
     RelationLeaf,
     cs_leaves,
@@ -47,7 +49,10 @@ from .planner import (
     linearize,
     plan_cs,
 )
-from .qrg import QRG, LeafVertex, build_qrg, collapse_materialized, region_of
+# bench/tracing.py rebinds `collapse_materialized` and `plan_cs` in this
+# module by name to count their calls, so both names stay bound here,
+# although the loop collapses no graph
+from .qrg import QRG, LeafVertex, build_qrg, collapse_materialized, region_of  # noqa: F401
 from .store import Dataset, Relation, register_intermediate, release_intermediates, resolve
 
 POLICY_KINDS = ("static", "eager", "rosie")
@@ -272,23 +277,14 @@ def run(
     return result, trace
 
 
-def _applied_constraint_ordinals(unit: CS) -> set[int]:
-    if isinstance(unit, CSFilter):
-        return {unit.constraint.ordinal} | _applied_constraint_ordinals(unit.child)
-    if isinstance(unit, CSNode):
-        return _applied_constraint_ordinals(unit.left) | _applied_constraint_ordinals(unit.right)
-    return set()
-
-
 def _qrg_ids_of_unit(g: QRG, unit: CS) -> set[int]:
     """Graph vertex ids covered by a plan fragment."""
     return {g.by_label[leaf.label].id for leaf in cs_leaves(unit)}
 
 
-def _alternatives(g: QRG, unit: CS, prefix: CS) -> list[UnitProfile]:
-    """Other vertices of the same exchangeable region that are not yet in
-    the prefix (patterns of a materialized prefix have left the graph, and
-    its synthetic vertex is the prefix's first leaf)."""
+def _alternatives(g: QRG, unit: CS, consumed: set[int]) -> list[UnitProfile]:
+    """Other vertices of the same exchangeable region that are not yet
+    `consumed` by the prefix, materialized or not."""
     leaf = unit.child if isinstance(unit, CSFilter) else unit
     if not isinstance(leaf, PatternLeaf):
         return []
@@ -296,7 +292,6 @@ def _alternatives(g: QRG, unit: CS, prefix: CS) -> list[UnitProfile]:
     region = region_of(g, vertex.op_id)
     if not region.is_exchangeable(g):
         return []
-    consumed = _qrg_ids_of_unit(g, prefix)
     return [
         _vertex_profile(g.leaves[member])
         for member in sorted(region.members)
@@ -330,6 +325,7 @@ def _run_incremental(
     k = 0
     cs_sub: Optional[CS] = None
     state: Optional[StepState] = None
+    consumed: set[int] = set()  # vertex ids of the patterns taken so far
     short_circuited = False
 
     while k < len(steps):
@@ -345,6 +341,8 @@ def _run_incremental(
         assert step.unit is not None
         profile = profile_unit(step.unit, g, var_order)
 
+        # counted before it is taken: a step is never its own alternative
+        consumed |= _qrg_ids_of_unit(g, step.unit)
         if cs_sub is None or state is None:
             cs_sub = step.unit
             state = StepState.start(profile, var_order)
@@ -361,7 +359,7 @@ def _run_incremental(
                 op != OPT
                 and not isinstance(cs_sub, RelationLeaf)
                 and should_materialize(
-                    state, profile, _alternatives(g, step.unit, cs_sub), policy, op,
+                    state, profile, _alternatives(g, step.unit, consumed), policy, op,
                 )
             )
         else:
@@ -377,17 +375,20 @@ def _run_incremental(
                 label = profile.label
                 cs_sub, k = _take_filters(steps, k + 1, cs_sub, state)
             rid, card = materialize(cs_sub)
-            # recorded from the estimate that led here, before the restart
+            # recorded from the estimate that led here, before the splice
             _record(trace, policy, label or f"R{rid}", state,
                     decision="materialize", actual=card, t0=step_t0)
+            cs_sub = RelationLeaf(rid)
             if card == 0:
                 # annihilation: an empty prefix cannot produce result rows
-                cs_sub = RelationLeaf(rid)
                 short_circuited = True
                 break
-            g, cs, steps, cs_sub, state = _restart_from(
-                g, rid, card, cs_sub, state, var_order, trace
-            )
+            # the rest of the plan continues from the intermediate, whose
+            # bounds are its exact row count
+            steps = [LinStep(None, cs_sub), *steps[k:]]
+            trace.plans.append(cs_to_string(_fold(steps)))
+            point = CardinalityInterval.point(float(card))
+            state = StepState(point, float(card), state.positions, var_order)
             if policy.kind == "eager":
                 _record(trace, policy, f"R{rid}", state, decision="continue", t0=step_t0)
             k = 1
@@ -418,27 +419,18 @@ def _take_filters(steps: list, k: int, cs_sub: CS, state: StepState) -> tuple[CS
     return cs_sub, k
 
 
-def _restart_from(
-    g: QRG,
-    rid: int,
-    card: int,
-    cs_sub: CS,
-    state: StepState,
-    var_order: dict[str, int],
-    trace: ExecutionTrace,
-):
-    """Collapse the graph around the materialized prefix and re-plan."""
-    arranged = _qrg_ids_of_unit(g, cs_sub)
-    applied = frozenset(_applied_constraint_ordinals(cs_sub))
-    g = collapse_materialized(g, arranged, rid, card, applied)
-    cs = plan_cs(g)
-    trace.plans.append(cs_to_string(cs))
-    steps = linearize(cs)
-    first = steps[0]
-    assert first.unit is not None and isinstance(first.unit, RelationLeaf)
-    new_state = StepState.start(profile_unit(first.unit, g, var_order), var_order)
-    new_state.positions = state.positions
-    return g, cs, steps, first.unit, new_state
+def _fold(steps: list[LinStep]) -> CS:
+    """The plan whose linearization is `steps`."""
+    cs = steps[0].unit
+    assert cs is not None
+    for step in steps[1:]:
+        if step.op == FILTER:
+            assert step.constraint is not None
+            cs = CSFilter(cs, step.constraint.constraint, step.constraint.label)
+        else:
+            assert step.op is not None and step.unit is not None
+            cs = CSNode(step.op, cs, step.unit)
+    return cs
 
 
 def _record(

@@ -7,7 +7,9 @@ dataset vocabulary with occasional unknowns so empty scans stay covered.
 
 Run as a script (`PYTHONPATH=src python tests/genqueries.py`), it prints
 one SHA-256 over a fixed sweep (`sweep_digest`): a change that keeps every
-result and every trace decision keeps the digest.
+result and every trace decision keeps the digest. With `--runs` it prints
+one digest line per (seed, query, policy) instead, so that the sweeps of
+two trees can be diffed run by run.
 """
 
 from __future__ import annotations
@@ -119,22 +121,17 @@ def random_query_text(rng: random.Random, max_tps: int = 8) -> str:
     return QueryBuilder(rng, max_tps).build()
 
 
-def sweep_digest(seeds: range = range(200), queries: int = 8) -> str:
-    """One SHA-256 over `queries` random queries per seed, each run under
-    every policy on a fresh copy of the seed's dataset, so that relation
-    ids do not depend on earlier runs. Each run contributes its schema, its
-    decoded rows in order, `trace.plans` and its `--trace-json` document
-    without the `ms` and `total_ms` timings."""
-    # imported here: hashlib loads OpenSSL, some 3.5 MB of resident memory
-    # that every process importing this module (the benchmark's too) would
-    # carry
-    import hashlib
-
-    digest = hashlib.sha256()
+def sweep_runs(seeds: range = range(200), queries: int = 8):
+    """`(seed, query index, policy, record)` for `queries` random queries per
+    seed, each run under every policy on a fresh copy of the seed's dataset,
+    so that relation ids do not depend on earlier runs. A run's record is
+    the compact JSON of its schema, its decoded rows in order, `trace.plans`
+    and its `--trace-json` document without the `ms` and `total_ms`
+    timings."""
     for seed in seeds:
         rng = random.Random(seed)
         random_dataset(rng)
-        for text in [random_query_text(rng) for _ in range(queries)]:
+        for index, text in enumerate([random_query_text(rng) for _ in range(queries)]):
             q = parse_query(text)
             for kind in POLICY_KINDS:
                 d = random_dataset(random.Random(seed))
@@ -147,9 +144,29 @@ def sweep_digest(seeds: range = range(200), queries: int = 8) -> str:
                 for step in doc["steps"]:
                     del step["ms"]
                 record = [list(rel.schema), rows, trace.plans, doc]
-                digest.update(json.dumps(record, separators=(",", ":")).encode("utf-8"))
+                yield seed, index, kind, json.dumps(record, separators=(",", ":")).encode("utf-8")
+
+
+def sweep_digest(seeds: range = range(200), queries: int = 8) -> str:
+    """One SHA-256 over the records of `sweep_runs`, in order."""
+    # imported here: hashlib loads OpenSSL, some 3.5 MB of resident memory
+    # that every process importing this module (the benchmark's too) would
+    # carry
+    import hashlib
+
+    digest = hashlib.sha256()
+    for *_, record in sweep_runs(seeds, queries):
+        digest.update(record)
     return digest.hexdigest()
 
 
 if __name__ == "__main__":
-    print(sweep_digest())
+    import sys
+
+    if sys.argv[1:] == ["--runs"]:
+        import hashlib
+
+        for seed, index, kind, record in sweep_runs():
+            print(seed, index, kind, hashlib.sha256(record).hexdigest()[:16])
+    else:
+        print(sweep_digest())

@@ -9,6 +9,7 @@ from rosie.frontend import (
     FilterNode,
     Leaf,
     OpNode,
+    _tokenize,
     parse_query,
     pretty_print,
 )
@@ -254,7 +255,8 @@ def test_language_tag_with_subtags_finds_the_loaded_row():
 
 def test_numerals_follow_the_sparql_grammar():
     # "1." is the numeral 1 and the dot that ends its triple
-    d = load_ntriples('<a> <p> "1" .\n<a> <q> <b> .\n')
+    d = load_ntriples('<a> <p> "1"^^<http://www.w3.org/2001/XMLSchema#integer> .\n'
+                      '<a> <q> <b> .\n')
     q = parse_query("SELECT * WHERE { ?s <p> 1. ?s <q> ?o }")
     for kind in ("static", "eager", "rosie"):
         rel, _ = run(q, d, Policy(kind))
@@ -264,6 +266,55 @@ def test_numerals_follow_the_sparql_grammar():
     # only ASCII digits make a numeral
     with pytest.raises(QuerySyntaxError):
         parse_query("SELECT * WHERE { ?s <p> ?o . FILTER(?o > \u0661) }")
+
+
+@pytest.mark.parametrize("numeral,datatype", [
+    ("1", "integer"), ("-1", "integer"), ("1.5", "decimal"), (".5", "decimal"),
+    ("1e3", "double"), ("1.E-3", "double"),
+])
+def test_numerals_in_patterns_are_typed_literals(numeral, datatype):
+    # a numeral in a triple pattern is the literal typed by its grammar
+    # branch, as SPARQL has it: it matches the typed literal, not the plain one
+    typed = f'"{numeral}"^^<http://www.w3.org/2001/XMLSchema#{datatype}>'
+    d = load_ntriples(f'<a> <p> {typed} .\n<b> <p> "{numeral}" .\n')
+    q = parse_query(f"SELECT ?s WHERE {{ ?s <p> {numeral} . }}")
+    assert q.patterns[0].o.value == typed
+    for kind in ("static", "eager", "rosie"):
+        rel, _ = run(q, d, Policy(kind))
+        assert [[d.dict.decode(t) for t in row] for row in rel.rows] == [["a"]]
+
+
+# every token kind, with comments, tabs and CRLF line ends between tokens
+TOKENIZED = (
+    'PREFIX ex: <http://e/>\r\n# comment { not a token }\r\n'
+    'SELECT ?s $o\tWHERE {\t?s ex:p "x\\"y"@en-GB ; ex:q 1.5e3 .# trailing\r\n'
+    '  ?s a :b FILTER(?o >= -2 && ?o != .5)} LIMIT 3 # end'
+)
+TOKENS = [
+    ("IDENT", "PREFIX", 0), ("PNAME", "ex:", 7), ("IRIREF", "<http://e/>", 11),
+    ("IDENT", "SELECT", 51), ("VAR", "?s", 58), ("VAR", "$o", 61),
+    ("IDENT", "WHERE", 64), ("PUNCT", "{", 70), ("VAR", "?s", 72),
+    ("PNAME", "ex:p", 75), ("STRING", '"x\\"y"', 80), ("LANGTAG", "@en-GB", 86),
+    ("PUNCT", ";", 93), ("PNAME", "ex:q", 95), ("NUMBER", "1.5e3", 100),
+    ("PUNCT", ".", 106), ("VAR", "?s", 121), ("IDENT", "a", 124),
+    ("PNAME", ":b", 126), ("IDENT", "FILTER", 129), ("PUNCT", "(", 135),
+    ("VAR", "?o", 136), ("PUNCT", ">=", 139), ("NUMBER", "-2", 142),
+    ("PUNCT", "&&", 145), ("VAR", "?o", 148), ("PUNCT", "!=", 151),
+    ("NUMBER", ".5", 154), ("PUNCT", ")", 156), ("PUNCT", "}", 157),
+    ("IDENT", "LIMIT", 159), ("NUMBER", "3", 165), ("EOF", "", 172),
+]
+
+
+def test_tokens_keep_their_kinds_texts_and_offsets():
+    assert [(t.kind, t.text, t.pos) for t in _tokenize(TOKENIZED)] == TOKENS
+
+
+def test_untokenizable_character_offset_skips_whitespace_and_comments():
+    text = "SELECT * WHERE {\n  # comment ~\n\t ?s <p> ?o ~ }"
+    with pytest.raises(QuerySyntaxError) as err:
+        parse_query(text)
+    assert err.value.pos == text.index("~ }")
+    assert err.value.expected == "a token (got '~')"
 
 
 class TestStringEscapes:

@@ -7,6 +7,7 @@ import time
 import traceback
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -20,7 +21,7 @@ from rosie.datagen import (
     uncorrelated_uniform,
 )
 from rosie.errors import QueryTimeout
-from rosie.executor import BindJoin, LeftOuterJoin, _reducible, compile_cs
+from rosie.executor import BindJoin, Deadline, LeftOuterJoin, _reducible, compile_cs, execute
 from rosie.estimator import CardinalityInterval
 from rosie.frontend import AND, OPT, Leaf, Modifiers, OpNode, Query, parse_query
 from rosie.runtime import (
@@ -32,15 +33,16 @@ from rosie.runtime import (
     should_materialize,
 )
 from rosie import executor, runtime
-from rosie.planner import RelationLeaf, plan_cs
+from rosie.planner import CSFilter, CSNode, RelationLeaf, cs_leaves, cs_to_string, plan_cs
 from rosie.qrg import build_qrg, collapse_materialized
 from rosie.runtime import profile_unit
 from rosie.store import (
-    Dataset, load_ntriples, make_literal, register_intermediate, resolve, scan,
+    Dataset, load_ntriples, make_literal, register_intermediate, release_intermediates,
+    resolve, scan,
 )
 
 from conftest import D_TOY_NT
-from genqueries import random_dataset, random_query_text
+from genqueries import random_dataset, random_query_text, sweep_digest
 from naive_eval import evaluate_query
 from test_store import tp
 from test_trace_golden import gen_workloads, named_workloads
@@ -360,6 +362,111 @@ class TestGraphMemo:
                         assert bag(rel) == expected, (kind, tau, triple)
 
 
+def run_recording_materializations(q, d, policy, monkeypatch):
+    """`run` of `q`, with the prefix, relation id and row count of each
+    materialization in order."""
+    prefixes, registered = [], []
+    compile_cs = runtime.compile_cs
+
+    def recording_compile(plan, projection, *args):
+        if projection is None:  # only a materialized prefix has none
+            prefixes.append(plan)
+        return compile_cs(plan, projection, *args)
+
+    def recording_register(dataset, rel):
+        rid = register_intermediate(dataset, rel)
+        registered.append((rid, rel.exact_cardinality))
+        return rid
+
+    with monkeypatch.context() as m:
+        m.setattr(runtime, "compile_cs", recording_compile)
+        m.setattr(runtime, "register_intermediate", recording_register)
+        rel, trace = run(q, d, policy)
+    return rel, trace, [(cs, rid, card) for cs, (rid, card) in zip(prefixes, registered)]
+
+
+def applied_constraints(cs) -> frozenset:
+    if isinstance(cs, CSFilter):
+        return frozenset({cs.constraint.ordinal}) | applied_constraints(cs.child)
+    if isinstance(cs, CSNode):
+        return applied_constraints(cs.left) | applied_constraints(cs.right)
+    return frozenset()
+
+
+def replan_after(g, prefix, rid, card):
+    """The graph collapsed around a materialized prefix, and its plan: the
+    re-plan that splicing the prefix's relation into the plan replaces."""
+    arranged = {g.by_label[leaf.label].id for leaf in cs_leaves(prefix)}
+    g = collapse_materialized(g, arranged, rid, card, applied_constraints(prefix))
+    return g, plan_cs(g)
+
+
+class TestSplice:
+    """After a materialization the loop continues the current plan from the
+    intermediate; collapsing the graph around it and planning again gives
+    the same plan on the fixtures and the golden runs."""
+
+    def test_spliced_plans_equal_the_replans(self, monkeypatch):
+        replans = 0
+        for _, d, text in [*named_workloads(), *gen_workloads()]:
+            q = parse_query(text)
+            for kind in ("eager", "rosie"):
+                for tau in (2.0, 8.0):
+                    _, trace, materialized = run_recording_materializations(
+                        q, d, Policy(kind, tau=tau), monkeypatch
+                    )
+                    g = build_qrg(q, d.stats, d.dict)
+                    plans = [cs_to_string(plan_cs(g))]
+                    for prefix, rid, card in materialized:
+                        if card == 0:  # the run stops at an empty prefix
+                            break
+                        g, cs = replan_after(g, prefix, rid, card)
+                        plans.append(cs_to_string(cs))
+                    assert trace.plans == plans, (text, kind, tau)
+                    replans += len(plans) - 1
+        # so many materializations go on to a non-empty intermediate
+        assert replans == 33
+
+    def test_splice_keeps_the_order_a_replan_changed(self, monkeypatch):
+        # `genqueries.sweep_runs` seed 25, query 4 under eager: after R1,
+        # re-planning ranks T1 before T2 while the plan has T2 first; the
+        # bags agree with the oracle either way
+        rng = random.Random(25)
+        random_dataset(rng)
+        text = [random_query_text(rng) for _ in range(5)][4]
+        d = random_dataset(random.Random(25))
+        q = parse_query(text)
+        rel, trace, materialized = run_recording_materializations(
+            q, d, Policy("eager"), monkeypatch
+        )
+        assert trace.plans == [
+            "(((((T4 Or (T6 And T5)) And T3) And T2) And T1) Opt T7) Filter C",
+            "(((R1 And T2) And T1) Opt T7) Filter C",
+        ]
+        assert bag(rel) == evaluate_query(q, d)
+        prefix, _, card = materialized[0]
+        extents = {tp: resolve(d, tp) for tp in q.patterns}
+        intermediate = execute(compile_cs(prefix, None, None, d, extents), d)
+        assert len(intermediate.rows) == card == 10
+        rid = register_intermediate(d, intermediate)
+        try:
+            _, replan = replan_after(build_qrg(q, d.stats, d.dict), prefix, rid, card)
+            assert cs_to_string(replan) == f"(((R{rid} And T1) And T2) Opt T7) Filter C"
+            replanned = execute(compile_cs(replan, q.projection, q.modifiers, d, extents), d)
+        finally:
+            release_intermediates(d, [rid])
+        assert bag(replanned) == evaluate_query(q, d)
+
+
+def test_sweep_digest_matches_its_pin():
+    # rows in order, plans and trace decisions of every run of the first 50
+    # seeds of the sweep; CI checks all 200. Regenerate the pins only after
+    # a change that alters decisions on purpose, and list the runs that
+    # changed (`python tests/genqueries.py --runs` at both commits, diffed)
+    pins = json.loads((Path(__file__).with_name("data") / "sweep_digest.json").read_text())
+    assert sweep_digest(range(50)) == pins["0-49"]
+
+
 class TestConcurrentQueries:
     def test_one_dataset_serves_parallel_queries(self):
         import sys
@@ -417,10 +524,15 @@ class TestConcurrentQueries:
         assert len(set(ids)) == len(ids)
         # a run that fails after materializing frees what it registered too
 
-        def failing(*args):
-            raise QueryTimeout(1.0)
+        compile_cs = runtime.compile_cs
 
-        monkeypatch.setattr(runtime, "collapse_materialized", failing)
+        def failing(plan, projection, *args):
+            # the final plan is the one compiled with the projection
+            if projection is not None:
+                raise QueryTimeout(1.0)
+            return compile_cs(plan, projection, *args)
+
+        monkeypatch.setattr(runtime, "compile_cs", failing)
         with pytest.raises(QueryTimeout):
             run(q, d, Policy("rosie"))
         assert len(ids) == 7
