@@ -185,11 +185,16 @@ def error_ratio(real: float, est: float) -> float:
     return real / est
 
 
+def adjusted_upper(bounds: CardinalityInterval, sigma: float) -> float:
+    """The hi bound scaled down by sigma, never below lo."""
+    return max(bounds.lo, sigma * bounds.hi)
+
+
 def adjusted_upper_error(bounds: CardinalityInterval, est: float, sigma: float) -> float:
-    """Upper error after scaling the hi bound down by sigma (never below lo)."""
+    """The adjusted upper bound over the estimate."""
     if est <= 0.0:
         raise ZeroEstimate("adjusted error needs a positive estimate")
-    return max(bounds.lo, sigma * bounds.hi) / est
+    return adjusted_upper(bounds, sigma) / est
 
 
 # ---------------------------------------------------------------------------

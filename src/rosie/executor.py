@@ -15,8 +15,8 @@ build input is hashed and each probe key looks its rows up: an inner
 join's orientation makes the build input the smaller one, and an outer
 join hashes its right input. A join on one variable whose inputs hold
 VECTOR_ROWS rows or more, over keys that span at most SPAN ids per row,
-builds the same pairs in numpy, imported on that first join so that
-processes running only small joins never load it (`_vector_pairs`); row
+builds the same pairs in numpy, imported by `run` for a range that large
+or on that first join, so small joins never load it (`_vector_pairs`); row
 order is unchanged. A join of a small leaf input (a scan or an
 intermediate) with a scan whose range is much larger binds instead: the
 scan's range is narrowed to each distinct key of the leaf, and the rows

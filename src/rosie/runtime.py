@@ -28,6 +28,7 @@ from typing import Optional
 
 from .estimator import (
     CardinalityInterval,
+    adjusted_upper,
     adjusted_upper_error,
     classify_join,
     constraint_selectivity,
@@ -35,7 +36,7 @@ from .estimator import (
     filter_interval,
     join_interval,
 )
-from .executor import Deadline, compile_cs, evaluate, execute
+from .executor import VECTOR_ROWS, Deadline, compile_cs, evaluate, execute
 from .frontend import AND, FILTER, OPT, OR, Query, query_variables
 from .planner import (
     CS,
@@ -253,9 +254,12 @@ def run(
     The statistics are read, and each pattern is resolved once for every
     plan of the query, before the clock starts, so the one-time builds of
     a fresh dataset count against neither `timeout_ms` nor `total_ms`.
+    So is numpy's import, when some pattern's range holds `VECTOR_ROWS` rows.
     """
     stats = d.stats
     extents = {tp: resolve(d, tp) for tp in q.patterns}
+    if any(ext.hi - ext.lo >= VECTOR_ROWS for ext in extents.values()):
+        import numpy  # noqa: F401
     deadline = Deadline(timeout_ms)
     trace = ExecutionTrace(query=query_text, policy=policy.kind)
     g = build_qrg(q, stats, d.dict)
@@ -449,7 +453,7 @@ def _record(
             est=state.est,
             lo=state.cum.lo,
             hi=state.cum.hi,
-            hi_adj=max(state.cum.lo, policy.sigma * state.cum.hi),
+            hi_adj=adjusted_upper(state.cum, policy.sigma),
             decision=decision,
             actual=actual,
             ms=(time.perf_counter() - t0) * 1000.0,

@@ -13,7 +13,8 @@ statistics, exact per-value counts (for each term the number of triples
 where it appears as subject, predicate, or object), by counting its
 columns. Each of the three is built once, on first read, so a load or a
 reopen, which read none of them, pays for none, and a query pays only for
-those it reads.
+those it reads. A load dedupes and sorts each triple as one integer,
+`s << 64 | p << 32 | o`, which orders as its ids, and unpacks them into SPO.
 
 A dataset is logically immutable after load: a structure built on first
 read is a function of SPO and the dictionary, so no reader can tell when
@@ -298,11 +299,11 @@ class Dataset:
         # term -> id in first-seen order; the key order is the term list
         ids: dict[str, TermId] = {}
         intern = ids.setdefault
-        enc = {
-            (intern(s, len(ids)), intern(p, len(ids)), intern(o, len(ids)))
+        keys = sorted({
+            intern(s, len(ids)) << 64 | intern(p, len(ids)) << 32 | intern(o, len(ids))
             for s, p, o in triples
-        }
-        return cls(TermDictionary(ids), _columns(sorted(enc)))
+        })
+        return cls(TermDictionary(ids), _unpack(keys))
 
     @property
     def size(self) -> int:
@@ -312,9 +313,14 @@ class Dataset:
         return map(Triple, *self.spo)
 
 
-def _columns(triples: list[tuple]) -> Columns:
-    """The three id columns of a list of triples."""
-    return tuple(array(_U32_ARRAY, map(itemgetter(k), triples)) for k in range(3))
+def _unpack(keys: list[int]) -> Columns:
+    """The S, P and O columns of sorted keys `s << 64 | p << 32 | o`."""
+    flat = array(_U32_ARRAY)
+    for at in range(0, len(keys), 4096):
+        flat.frombytes(b"".join([k.to_bytes(12, "big") for k in keys[at : at + 4096]]))
+    if sys.byteorder == "little":
+        flat.byteswap()
+    return flat[0::3], flat[1::3], flat[2::3]
 
 
 def _gather(cols: Columns, key: Sequence[int]) -> Columns:
@@ -623,7 +629,7 @@ def snapshot_load(source: BinaryIO) -> Dataset:
 
     A triple section in ascending order without repeats, as `snapshot_save`
     writes it, becomes the SPO columns as it is, with no tuple built to
-    keep; only any other order is sorted and deduplicated as tuples.
+    keep; only any other order is sorted and deduplicated, as a load is.
     """
     data = source.read()
     off = len(SNAPSHOT_MAGIC)
@@ -669,5 +675,5 @@ def snapshot_load(source: BinaryIO) -> Dataset:
     spo = (flat[0::3], flat[1::3], flat[2::3])
     del flat
     if not all(map(lt, zip(*spo), islice(zip(*spo), 1, None))):
-        spo = _columns(sorted(set(zip(*spo))))
+        spo = _unpack(sorted({s << 64 | p << 32 | o for s, p, o in zip(*spo)}))
     return Dataset(TermDictionary(ids), spo)

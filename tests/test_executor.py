@@ -335,3 +335,38 @@ def test_numpy_is_imported_only_by_a_join_past_the_gate(rows, loaded):
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     assert out.stdout.split() == [str(loaded)]
+
+
+# runs a two-pattern star whose patterns each match argv[1] rows, and
+# prints, for each `Deadline` the query builds, whether numpy was loaded
+# by then
+DEADLINE_SCRIPT = """
+import sys
+import rosie.runtime
+from rosie.executor import Deadline
+from rosie.frontend import parse_query
+from rosie.runtime import Policy, run
+from rosie.store import Dataset
+seen = []
+def deadline(timeout_ms):
+    seen.append("numpy" in sys.modules)
+    return Deadline(timeout_ms)
+rosie.runtime.Deadline = deadline
+rows = int(sys.argv[1])
+d = Dataset.from_strings([(f"e{i}", p, f"o{i}") for p in ("a", "b") for i in range(rows)])
+run(parse_query("SELECT * WHERE { ?s <a> ?x . ?s <b> ?y . }"), d, Policy("rosie"))
+print(*seen)
+"""
+
+
+@pytest.mark.parametrize("rows, loaded", [(1000, False), (VECTOR_ROWS, True)])
+def test_numpy_is_imported_before_the_clock_for_a_large_range(rows, loaded):
+    # a range of VECTOR_ROWS rows may reach the numpy join, so its import
+    # (about 0.1 s) must not count against the query's budget
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    out = subprocess.run(
+        [sys.executable, "-c", DEADLINE_SCRIPT, str(rows)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert out.stdout.split() == [str(loaded)]

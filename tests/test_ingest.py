@@ -11,6 +11,8 @@ labels and tags, empty datatypes, missing separators, comments).
 from __future__ import annotations
 
 import io
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -19,9 +21,11 @@ from hypothesis import strategies as st
 from rosie.errors import ParseError
 from rosie.store import (
     _CANONICAL_LINE,
+    _U32_ARRAY,
     Dataset,
     _parse_ntriples_chars,
     _parse_ntriples_line,
+    _unpack,
     load_ntriples,
     snapshot_load,
     snapshot_save,
@@ -137,3 +141,70 @@ def test_snapshot_round_trip(triples):
     again = io.BytesIO()
     snapshot_save(loaded, again)
     assert again.getvalue() == buf.getvalue()
+
+
+# lists of stored triples in which a triple may repeat, the empty list too
+TRIPLE_LISTS = st.lists(st.tuples(STORED_TERMS, STORED_TERMS, STORED_TERMS), max_size=20).flatmap(
+    lambda triples: st.lists(st.sampled_from(triples), max_size=40) if triples else st.just([])
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(TRIPLE_LISTS)
+def test_from_strings_matches_a_tuple_reference(triples):
+    ids: dict[str, int] = {}
+    for triple in triples:
+        for term in triple:
+            ids.setdefault(term, len(ids))
+    spo = sorted({tuple(ids[term] for term in triple) for triple in triples})
+    d = Dataset.from_strings(triples)
+    assert d.dict.terms() == list(ids)
+    assert all(col.typecode == _U32_ARRAY for col in d.spo)
+    assert [list(col) for col in d.spo] == ([list(col) for col in zip(*spo)] or [[], [], []])
+
+
+def test_unpack_keeps_each_32_bit_field():
+    top = 2**32 - 1
+    triples = [(0, 0, 0), (0, 0, top), (0, top, 0), (top, 0, top), (top, top, top)]
+    keys = [s << 64 | p << 32 | o for s, p, o in triples]
+    # the keys sort as the triples do
+    assert keys == sorted(keys)
+    cols = _unpack(keys)
+    assert all(col.typecode == _U32_ARRAY for col in cols)
+    assert list(zip(*cols)) == triples
+
+
+def uniform_document(lines: int, entities: int, seed: int = 11) -> bytes:
+    """N-Triples in the shape of `datagen.uncorrelated_uniform`: three
+    edges for each entity, then uniform edges over four predicates."""
+    rng = random.Random(seed)
+    predicates = "abcd"
+    triples = [
+        (f"e{i}", p, f"v{rng.randrange(entities)}") for i in range(entities) for p in predicates[:3]
+    ]
+    while len(triples) < lines:
+        triples.append((
+            f"e{rng.randrange(entities)}",
+            predicates[rng.randrange(len(predicates))],
+            f"v{rng.randrange(entities)}",
+        ))
+    return "".join(f"<{s}> <{p}> <{o}> .\n" for s, p, o in triples[:lines]).encode()
+
+
+def test_load_needs_less_transient_memory_than_it_keeps():
+    # the set and the sorted list that dedupe and order a load's triples
+    # live only during the load; holding one integer per triple, they take
+    # less traced memory than the dataset keeps (0.96 times on Python
+    # 3.11), and 1.15 leaves room for other interpreters' object sizes
+    blob = uniform_document(50_000, 12_500)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        d = load_ntriples(io.BytesIO(blob))
+        now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept, transient = now - before, peak - now
+    assert transient <= 1.15 * kept, (
+        f"transient {transient / d.size:.1f} B/triple against kept {kept / d.size:.1f}"
+    )
